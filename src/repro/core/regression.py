@@ -24,18 +24,122 @@ applies *ridge regression* (Eqs. 13-14): before solving, it adds
 ``nu * q`` to each diagonal element, where ``q`` is the mean diagonal
 magnitude.  The paper reports ``nu = 0.1`` balances the perturbation against
 floating-point round-off.
+
+The statistics are plain Python floats and the solve is Gaussian
+elimination with partial pivoting, so every result comes from IEEE basic
+operations in a fixed order and does not depend on a BLAS build or CPU.
+The solve runs at most once per sample: the regulator asks for the
+coefficients several times per testpoint, and only :meth:`update` and
+:meth:`import_state` change them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.errors import ConfigError, MetricError
 
 __all__ = ["RidgeCalibrator"]
+
+#: Sweep cap for the Jacobi eigen-solve; it converges quadratically, so a
+#: well-formed system needs a handful.
+_JACOBI_MAX_SWEEPS = 64
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """Left-to-right dot product (``sum`` would compensate on Python 3.12+)."""
+    total = 0.0
+    for ui, vi in zip(u, v):
+        total += ui * vi
+    return total
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """Solve ``a z = b`` by Gaussian elimination with partial pivoting.
+
+    An exactly singular ``a`` — reachable only with ``nu == 0`` — falls
+    back to the minimum-norm least-squares solution.
+    """
+    n = len(b)
+    m = [row + [bi] for row, bi in zip(a, b)]  # augmented [a | b]
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if pivot == 0.0:
+            return _min_norm_solve(a, b)
+        for row in m[k + 1:]:
+            f = row[k] / pivot
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot_row[j]
+    z = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        s = row[n]
+        for j in range(k + 1, n):
+            s -= row[j] * z[j]
+        z[k] = s / row[k]
+    return z
+
+
+def _min_norm_solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """Minimum-norm least-squares solution of the symmetric system ``a z = b``.
+
+    Cyclic Jacobi rotations diagonalize ``a = V diag(w) V^T``.  Eigenvalues
+    no larger than ``eps * n`` times the largest magnitude count as zero:
+    the cutoff ``lstsq(rcond=None)`` applies to singular values, which for
+    a symmetric matrix are the eigenvalue magnitudes.
+    """
+    n = len(b)
+    m = [row[:] for row in a]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        off = 0.0
+        total = 0.0
+        for i in range(n):
+            for j in range(n):
+                sq = m[i][j] * m[i][j]
+                total += sq
+                if i != j:
+                    off += sq
+        if off <= sys.float_info.epsilon**2 * total:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = m[p][q]
+                if apq == 0.0:
+                    continue
+                tau = (m[q][q] - m[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0 / (abs(tau) + math.hypot(1.0, tau)), tau)
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                for rows in (m, v):  # columns p, q of m and v: X <- X J
+                    for row in rows:
+                        rp, rq = row[p], row[q]
+                        row[p] = c * rp - s * rq
+                        row[q] = s * rp + c * rq
+                mp, mq = m[p], m[q]  # rows p, q of m: m <- J^T m
+                for k in range(n):
+                    rp, rq = mp[k], mq[k]
+                    mp[k] = c * rp - s * rq
+                    mq[k] = s * rp + c * rq
+                mp[q] = mq[p] = 0.0
+    w = [m[i][i] for i in range(n)]
+    cutoff = sys.float_info.epsilon * n * max(abs(wk) for wk in w)
+    z = [0.0] * n
+    for k, wk in enumerate(w):
+        if abs(wk) > cutoff:
+            vk = [row[k] for row in v]
+            coef = _dot(vk, b) / wk
+            for i in range(n):
+                z[i] += coef * vk[i]
+    return z
 
 
 class RidgeCalibrator:
@@ -56,6 +160,7 @@ class RidgeCalibrator:
         "_sum_dp",
         "_sum_d",
         "_count",
+        "_coefficients",
         "_median",
         "_telemetry",
         "_set_index",
@@ -82,8 +187,8 @@ class RidgeCalibrator:
         self._theta = theta
         self._nu = nu
         self._min_rate = min_rate
-        self._x = np.zeros((arity, arity), dtype=float)
-        self._y = np.zeros(arity, dtype=float)
+        self._x = [[0.0] * arity for _ in range(arity)]
+        self._y = [0.0] * arity
         # Decayed aggregate progress and duration, used to pin the solution's
         # scale: ridge shrinkage (and duration noise correlated with the
         # progress deltas) biases the raw least-squares coefficients low,
@@ -92,9 +197,11 @@ class RidgeCalibrator:
         # total duration matches observed total duration removes that bias
         # while keeping the regression's *apportioning* of cost among
         # correlated metrics.
-        self._sum_dp = np.zeros(arity, dtype=float)
+        self._sum_dp = [0.0] * arity
         self._sum_d = 0.0
         self._count = 0
+        # Solved coefficients for the current statistics, or None.
+        self._coefficients: tuple[float, ...] | None = None
         # Median correction: least squares estimates the *mean* cost, the
         # sign-test comparator judges against the *median* sample; see
         # repro.core.calibration.MedianScale.
@@ -115,42 +222,56 @@ class RidgeCalibrator:
         """Samples folded into the sufficient statistics."""
         return self._count
 
-    @property
-    def sufficient_statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the decayed statistics ``(x, y)`` (Eqs. 9-12)."""
-        return self._x.copy(), self._y.copy()
-
     # -- persistence ----------------------------------------------------------------
     def export_state(self) -> dict:
         """Serializable snapshot (for :mod:`repro.core.persistence`)."""
         return {
-            "x": self._x.tolist(),
-            "y": self._y.tolist(),
-            "sum_dp": self._sum_dp.tolist(),
+            "x": [row[:] for row in self._x],
+            "y": self._y[:],
+            "sum_dp": self._sum_dp[:],
             "sum_d": self._sum_d,
             "count": self._count,
             "median_scale": self._median.export_state(),
         }
 
     def import_state(self, state: dict) -> None:
-        """Restore a snapshot produced by :meth:`export_state`."""
-        x = np.asarray(state["x"], dtype=float)
-        y = np.asarray(state["y"], dtype=float)
-        if x.shape != (self._arity, self._arity) or y.shape != (self._arity,):
+        """Restore a snapshot produced by :meth:`export_state`.
+
+        Raises :class:`MetricError`, leaving the calibrator unchanged, for
+        any state :meth:`update` could not have produced.
+        """
+        n = self._arity
+        try:
+            x = [[float(v) for v in row] for row in state["x"]]
+            y = [float(v) for v in state["y"]]
+            sum_dp = [float(v) for v in state.get("sum_dp", [0.0] * n)]
+            sum_d = float(state.get("sum_d", 0.0))
+            count = int(state.get("count", 0))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MetricError(f"persisted regression state is malformed: {exc}") from exc
+        if len(x) != n or any(len(row) != n for row in x) or len(y) != n:
             raise MetricError(
-                f"persisted state arity mismatch: x{x.shape}, y{y.shape}, "
-                f"expected arity {self._arity}"
+                f"persisted state arity mismatch: x has {len(x)} rows, y {len(y)} "
+                f"entries, expected arity {n}"
             )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if not all(math.isfinite(v) for row in (*x, y) for v in row):
             raise MetricError("persisted regression state contains non-finite values")
+        if len(sum_dp) != n or not all(math.isfinite(v) for v in sum_dp):
+            raise MetricError("persisted regression aggregates are malformed")
+        if not (math.isfinite(sum_d) and sum_d >= 0.0):
+            raise MetricError(f"persisted duration aggregate is invalid: {sum_d}")
+        if count < 0:
+            raise MetricError(f"persisted sample count is negative: {count}")
+        if any(x[i][i] < 0.0 for i in range(n)):
+            raise MetricError("persisted regression statistics have a negative diagonal")
+        if any(x[i][j] != x[j][i] for i in range(n) for j in range(i)):
+            raise MetricError("persisted regression statistics are not symmetric")
         self._x = x
         self._y = y
-        sum_dp = np.asarray(state.get("sum_dp", [0.0] * self._arity), dtype=float)
-        if sum_dp.shape != (self._arity,) or not np.isfinite(sum_dp).all():
-            raise MetricError("persisted regression aggregates are malformed")
         self._sum_dp = sum_dp
-        self._sum_d = float(state.get("sum_d", 0.0))
-        self._count = int(state.get("count", 0))
+        self._sum_d = sum_d
+        self._count = count
+        self._coefficients = None
         if "median_scale" in state:
             self._median.import_state(state["median_scale"])
 
@@ -163,18 +284,20 @@ class RidgeCalibrator:
             )
         if not math.isfinite(duration) or duration < 0.0:
             raise MetricError(f"duration must be finite and non-negative: {duration}")
-        dp = np.asarray(deltas, dtype=float)
-        if not np.isfinite(dp).all() or (dp < 0).any():
+        dp = [float(d) for d in deltas]
+        if not all(0.0 <= d < math.inf for d in dp):
             raise MetricError(f"progress deltas must be finite and non-negative: {deltas}")
-        self._median.observe(duration, self._mean_duration(deltas))
-        self._x *= self._theta
-        self._y *= self._theta
-        self._sum_dp *= self._theta
-        self._x += np.outer(dp, dp)
-        self._y += duration * dp
-        self._sum_dp += dp
-        self._sum_d = self._theta * self._sum_d + duration
+        self._median.observe(duration, _dot(self.coefficients(), dp))
+        theta = self._theta
+        self._x = [
+            [xij * theta + di * dj for xij, dj in zip(row, dp)]
+            for row, di in zip(self._x, dp)
+        ]
+        self._y = [yi * theta + duration * di for yi, di in zip(self._y, dp)]
+        self._sum_dp = [si * theta + di for si, di in zip(self._sum_dp, dp)]
+        self._sum_d = theta * self._sum_d + duration
         self._count += 1
+        self._coefficients = None
         tel = self._telemetry
         if tel is not None:
             if tel.emitting:
@@ -192,19 +315,26 @@ class RidgeCalibrator:
                 )
             tel.metrics.gauge("calibration_scale").set(self._median.scale)
 
-    def coefficients(self) -> np.ndarray:
+    def coefficients(self) -> tuple[float, ...]:
         """Solve the ridge-regularized normal equations for ``c_k = 1/r_k``.
 
-        Returns a vector of per-metric time costs (seconds per progress
-        unit), clamped to be non-negative.  Before any sample has been seen,
-        returns zeros (no inferred cost).
+        Returns per-metric time costs (seconds per progress unit), clamped
+        to be non-negative.  Before any sample has been seen, returns zeros
+        (no inferred cost).  The solution is cached until the statistics
+        change.
         """
-        if self._count == 0:
-            return np.zeros(self._arity, dtype=float)
-        diag = np.abs(np.diagonal(self._x))
-        if diag.max() <= 0.0:
+        c = self._coefficients
+        if c is None:
+            c = self._coefficients = self._fit()
+        return c
+
+    def _fit(self) -> tuple[float, ...]:
+        n = self._arity
+        x = self._x
+        diag = [x[i][i] for i in range(n)]
+        if self._count == 0 or max(diag) <= 0.0:
             # No progress observed along any metric yet.
-            return np.zeros(self._arity, dtype=float)
+            return (0.0,) * n
         # Standardized ridge: normalize each metric by sqrt of its diagonal
         # before applying the offset, so the perturbation is the same
         # *relative* size for every metric.  This is Eqs. (13)-(14) made
@@ -212,49 +342,40 @@ class RidgeCalibrator:
         # a metric whose magnitude is orders of magnitude below another's
         # (indices counted in ones vs bytes counted in thousands) would be
         # annihilated by the offset rather than merely stabilized.
-        scale = np.where(diag > 0.0, np.sqrt(diag), 1.0)
-        a = self._x / np.outer(scale, scale)
-        a[np.diag_indices_from(a)] += self._nu  # unit diagonal => Q = 1.
-        b = self._y / scale
-        try:
-            c = np.linalg.solve(a, b) / scale
-        except np.linalg.LinAlgError:
-            # The ridge offset should prevent singularity; fall back to the
-            # pseudo-inverse if numerical trouble slips through anyway.
-            c = np.linalg.lstsq(a, b, rcond=None)[0] / scale
+        scale = [math.sqrt(d) if d > 0.0 else 1.0 for d in diag]
+        a = [[xij / (si * sj) for xij, sj in zip(row, scale)] for row, si in zip(x, scale)]
+        for i in range(n):
+            a[i][i] += self._nu  # unit diagonal => Q = 1.
+        b = [yi / si for yi, si in zip(self._y, scale)]
         # A metric can transiently receive a small negative cost when it is
         # strongly anti-correlated with another; a negative time-per-unit is
         # physically meaningless, so clamp.
-        c = np.maximum(c, 0.0)
+        c = [zi / si for zi, si in zip(_solve(a, b), scale)]
+        c = [ci if ci > 0.0 else 0.0 for ci in c]
         # Pin the scale: predicted aggregate duration must equal the observed
         # aggregate duration (see the constructor comment).
-        predicted = float(np.dot(c, self._sum_dp))
+        predicted = _dot(c, self._sum_dp)
         if predicted > 0.0 and self._sum_d > 0.0:
-            c *= self._sum_d / predicted
-        return c
+            k = self._sum_d / predicted
+            c = [ci * k for ci in c]
+        return tuple(c)
 
-    def rates(self) -> np.ndarray:
+    def rates(self) -> tuple[float, ...]:
         """Per-metric target rates ``r_k`` (progress units per second).
 
         The inverse of :meth:`coefficients`, floored at ``min_rate`` to keep
         target durations finite.  A metric whose inferred cost is zero gets
         an infinite rate (it contributes no target duration).
         """
-        c = self.coefficients()
-        rates = np.empty_like(c)
-        for i, cost in enumerate(c):
-            rates[i] = math.inf if cost <= 0.0 else 1.0 / cost
-        return np.maximum(rates, self._min_rate)
+        return tuple(
+            max(math.inf if cost <= 0.0 else 1.0 / cost, self._min_rate)
+            for cost in self.coefficients()
+        )
 
-    def _mean_duration(self, deltas: Sequence[float]) -> float:
+    def target_duration(self, deltas: Sequence[float]) -> float:
+        """Section 4.4: ``d_target = sum_k dp_k / r_k``, median-corrected."""
         if len(deltas) != self._arity:
             raise MetricError(
                 f"expected {self._arity} metrics, got {len(deltas)}"
             )
-        c = self.coefficients()
-        dp = np.asarray(deltas, dtype=float)
-        return float(np.dot(c, dp))
-
-    def target_duration(self, deltas: Sequence[float]) -> float:
-        """Section 4.4: ``d_target = sum_k dp_k / r_k``, median-corrected."""
-        return self._mean_duration(deltas) * self._median.scale
+        return _dot(self.coefficients(), deltas) * self._median.scale
