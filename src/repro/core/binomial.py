@@ -14,7 +14,8 @@ samples ``r`` out of ``n`` paired comparisons.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 __all__ = [
     "log_binomial_pmf",
@@ -22,6 +23,11 @@ __all__ = [
     "binomial_sf",
     "binomial_cdf",
 ]
+
+#: Tails over windows up to this size sum a cached row of the pmf instead of
+#: evaluating each term; it covers the sign test's exact region.  Larger
+#: windows keep the per-term path, so the row cache cannot grow with ``n``.
+_ROW_LIMIT = 256
 
 
 @lru_cache(maxsize=65536)
@@ -56,6 +62,30 @@ def binomial_pmf(n: int, r: int, p: float = 0.5) -> float:
     return 0.0 if lp == -math.inf else math.exp(lp)
 
 
+@lru_cache(maxsize=2 * (_ROW_LIMIT + 1))
+def _pmf_row(n: int, p: float) -> tuple[float, ...]:
+    """``binomial_pmf(n, k, p)`` for k = 0..n, bit for bit."""
+    if not 0.0 < p < 1.0:
+        return tuple(binomial_pmf(n, k, p) for k in range(n + 1))
+    lgamma, top = math.lgamma, math.lgamma(n + 1)
+    log_p, log_q = math.log(p), math.log1p(-p)
+    # log_binomial_pmf's expression, in its order of evaluation.
+    return tuple(
+        math.exp(top - lgamma(k + 1) - lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        for k in range(n + 1)
+    )
+
+
+def _pmf_sum(n: int, lo: int, hi: int, p: float) -> float:
+    """``P(lo <= R <= hi)``, summed term by term from ``lo`` upwards."""
+    if n <= _ROW_LIMIT:
+        terms = _pmf_row(n, p)[lo : hi + 1]
+    else:
+        terms = (binomial_pmf(n, k, p) for k in range(lo, hi + 1))
+    # reduce, not sum(): Python 3.12's sum() compensates float rounding.
+    return reduce(add, terms, 0.0)
+
+
 def binomial_sf(n: int, r: int, p: float = 0.5) -> float:
     """Return the upper tail ``P(R >= r)`` for ``R ~ Binomial(n, p)``.
 
@@ -70,10 +100,7 @@ def binomial_sf(n: int, r: int, p: float = 0.5) -> float:
         return 0.0
     # Sum the smaller tail for accuracy, then complement if needed.
     if r > (n + 1) // 2 or p <= 0.5:
-        total = 0.0
-        for k in range(r, n + 1):
-            total += binomial_pmf(n, k, p)
-        return min(total, 1.0)
+        return min(_pmf_sum(n, r, n, p), 1.0)
     return max(0.0, 1.0 - binomial_cdf(n, r - 1, p))
 
 
@@ -83,7 +110,4 @@ def binomial_cdf(n: int, r: int, p: float = 0.5) -> float:
         return 0.0
     if r >= n:
         return 1.0
-    total = 0.0
-    for k in range(0, r + 1):
-        total += binomial_pmf(n, k, p)
-    return min(total, 1.0)
+    return min(_pmf_sum(n, 0, r, p), 1.0)

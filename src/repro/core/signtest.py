@@ -77,7 +77,11 @@ def poor_threshold(n: int, alpha: float) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    z = _NORMAL.inv_cdf(1.0 - alpha)
+    return _poor_threshold(n, alpha, _NORMAL.inv_cdf(1.0 - alpha))
+
+
+def _poor_threshold(n: int, alpha: float, z: float) -> int:
+    # z is the normal quantile inv_cdf(1 - alpha), hoisted for table builds.
     guess = n / 2.0 + z * math.sqrt(n) / 2.0 + 0.5
     if n > _EXACT_LIMIT:
         return min(max(math.ceil(guess), 0), n + 1)
@@ -104,7 +108,11 @@ def good_threshold(n: int, beta: float) -> int:
         raise ValueError(f"n must be non-negative, got {n}")
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must be in (0, 1), got {beta}")
-    z = _NORMAL.inv_cdf(1.0 - beta)
+    return _good_threshold(n, beta, _NORMAL.inv_cdf(1.0 - beta))
+
+
+def _good_threshold(n: int, beta: float, z: float) -> int:
+    # z is the normal quantile inv_cdf(1 - beta), hoisted for table builds.
     guess = n / 2.0 - z * math.sqrt(n) / 2.0 - 0.5
     if n > _EXACT_LIMIT:
         return min(max(math.floor(guess), -1), n)
@@ -135,10 +143,13 @@ def _threshold_tables(
     :func:`good_threshold` exactly; the tables are shared across every
     :class:`SignTest` with the same configuration, so the binomial tail
     walks run once per (alpha, beta, max_samples) per process and the
-    per-sample hot path reduces to two tuple indexings.
+    per-sample hot path reduces to two tuple indexings.  The caller
+    validates ``alpha`` and ``beta``.
     """
-    poor = tuple(poor_threshold(n, alpha) for n in range(max_samples + 1))
-    good = tuple(good_threshold(n, beta) for n in range(max_samples + 1))
+    z_poor = _NORMAL.inv_cdf(1.0 - alpha)
+    z_good = _NORMAL.inv_cdf(1.0 - beta)
+    poor = tuple(_poor_threshold(n, alpha, z_poor) for n in range(max_samples + 1))
+    good = tuple(_good_threshold(n, beta, z_good) for n in range(max_samples + 1))
     return poor, good
 
 

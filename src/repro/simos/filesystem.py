@@ -92,7 +92,7 @@ class ChangeRecord:
 class Volume:
     """A filesystem volume over a block range of one disk."""
 
-    __slots__ = ("name", "disk", "start_block", "total_blocks", "block_size", "_files", "_by_path", "_free", "_journal", "_next_file_id", "_next_usn")
+    __slots__ = ("name", "disk", "start_block", "total_blocks", "block_size", "_files", "_by_path", "_starts", "_counts", "_free_total", "_journal", "_next_file_id", "_next_usn")
 
     def __init__(
         self,
@@ -110,7 +110,12 @@ class Volume:
         self.block_size = block_size
         self.total_blocks = total_blocks
         self.start_block = start_block
-        self._free: list[Extent] = [Extent(0, total_blocks)]
+        # Free space as address-sorted parallel lists: run i covers blocks
+        # [_starts[i], _starts[i] + _counts[i]).  Runs are disjoint and never
+        # adjacent (freeing coalesces), and _free_total is their sum.
+        self._starts: list[int] = [0]
+        self._counts: list[int] = [total_blocks]
+        self._free_total = total_blocks
         self._files: dict[int, SimFile] = {}
         self._by_path: dict[str, int] = {}
         self._next_file_id = 1
@@ -121,7 +126,7 @@ class Volume:
     @property
     def free_blocks(self) -> int:
         """Unallocated blocks."""
-        return sum(e.count for e in self._free)
+        return self._free_total
 
     @property
     def used_blocks(self) -> int:
@@ -170,6 +175,8 @@ class Volume:
 
     def journal_since(self, usn: int) -> list[ChangeRecord]:
         """Records with USN strictly greater than ``usn``."""
+        if usn < 0:
+            raise SimulationError(f"USN must be non-negative, got {usn}")
         # The journal is append-only and USNs are dense, so slice directly.
         if usn >= self.last_usn:
             return []
@@ -186,6 +193,10 @@ class Volume:
         ``fragments > 1`` scatters the allocation across the free list to
         build aged, fragmented layouts for experiments (cf. Smith &
         Seltzer's file-system aging, the paper's citation 24).
+
+        All or nothing: when a later piece finds no run to fit in, the
+        pieces already carved go back to the free list before the error
+        propagates.
         """
         if blocks <= 0:
             raise SimulationError(f"allocation must be positive, got {blocks}")
@@ -197,8 +208,12 @@ class Volume:
         piece_sizes = self._split_sizes(blocks, fragments)
         rng = random.Random(spread_seed) if spread_seed is not None else None
         out: list[Extent] = []
-        for size in piece_sizes:
-            out.append(self._allocate_piece(size, rng))
+        try:
+            for size in piece_sizes:
+                out.append(self._allocate_piece(size, rng))
+        except SimulationError:
+            self.free(out)
+            raise
         return out
 
     def _split_sizes(self, blocks: int, fragments: int) -> list[int]:
@@ -210,47 +225,54 @@ class Volume:
 
     def _allocate_piece(self, size: int, rng: random.Random | None) -> Extent:
         # First-fit for determinism; a seeded rng picks a random fit instead,
-        # which is how fragmented (aged) layouts are manufactured.
-        candidates = [i for i, e in enumerate(self._free) if e.count >= size]
-        if candidates:
-            index = rng.choice(candidates) if rng is not None else candidates[0]
-            chunk = self._free[index]
-            taken = Extent(chunk.start, size)
-            rest = Extent(chunk.start + size, chunk.count - size)
-            if rest.count > 0:
-                self._free[index] = rest
-            else:
-                del self._free[index]
-            return taken
-        largest = self.largest_free_extent()
-        raise SimulationError(
-            f"volume {self.name}: no contiguous run of {size} blocks "
-            f"(largest free: {largest}); allocate with more fragments"
-        )
+        # which is how fragmented (aged) layouts are manufactured.  The rng
+        # must see every fit, so it chooses from the full candidate list.
+        counts = self._counts
+        if rng is None:
+            index = next((i for i, count in enumerate(counts) if count >= size), -1)
+        else:
+            candidates = [i for i, count in enumerate(counts) if count >= size]
+            index = rng.choice(candidates) if candidates else -1
+        if index < 0:
+            raise SimulationError(
+                f"volume {self.name}: no contiguous run of {size} blocks "
+                f"(largest free: {self.largest_free_extent()}); "
+                "allocate with more fragments"
+            )
+        start = self._starts[index]
+        if counts[index] > size:
+            self._starts[index] = start + size
+            counts[index] -= size
+        else:
+            del self._starts[index]
+            del counts[index]
+        self._free_total -= size
+        return Extent(start, size)
 
     def free(self, extents: list[Extent]) -> None:
         """Return extents to the free pool (coalescing neighbours)."""
+        starts, counts = self._starts, self._counts
         for extent in extents:
-            self._free_extent(extent)
-
-    def _free_extent(self, extent: Extent) -> None:
-        starts = [e.start for e in self._free]
-        i = bisect.bisect_left(starts, extent.start)
-        # Coalesce with the right neighbour, then the left one.
-        if i < len(self._free) and extent.end == self._free[i].start:
-            extent = Extent(extent.start, extent.count + self._free[i].count)
-            del self._free[i]
-        if i > 0 and self._free[i - 1].end == extent.start:
-            extent = Extent(
-                self._free[i - 1].start, self._free[i - 1].count + extent.count
-            )
-            del self._free[i - 1]
-            i -= 1
-        self._free.insert(i, extent)
+            start, count = extent.start, extent.count
+            i = bisect.bisect_left(starts, start)
+            joins_right = i < len(starts) and start + count == starts[i]
+            if i > 0 and starts[i - 1] + counts[i - 1] == start:
+                counts[i - 1] += count
+                if joins_right:
+                    counts[i - 1] += counts[i]
+                    del starts[i]
+                    del counts[i]
+            elif joins_right:
+                starts[i] = start
+                counts[i] += count
+            else:
+                starts.insert(i, start)
+                counts.insert(i, count)
+            self._free_total += count
 
     def largest_free_extent(self) -> int:
         """Size in blocks of the largest contiguous free run."""
-        return max((e.count for e in self._free), default=0)
+        return max(self._counts, default=0)
 
     # -- file operations -----------------------------------------------------------------
     def create_file(
@@ -281,14 +303,16 @@ class Volume:
         """Mark a file's contents changed; logs a journal record.
 
         Modifying a SIS-merged file breaks the link copy-on-write style:
-        the file gets its own freshly allocated blocks again.
+        the file gets its own freshly allocated blocks again.  If the
+        volume cannot hold them, the error propagates and the file keeps
+        its link.
         """
         f = self.file(file_id)
-        f.mtime = when
         if f.sis_link is not None:
-            f.sis_link = None
             blocks = max(1, -(-f.size // self.block_size))
             f.extents = self.allocate(blocks, fragments=1)
+            f.sis_link = None
+        f.mtime = when
         if new_content_id is not None:
             f.content_id = new_content_id
         self._log(file_id, "modify", when)

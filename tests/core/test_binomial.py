@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from repro.core import binomial
 from repro.core.binomial import binomial_cdf, binomial_pmf, binomial_sf, log_binomial_pmf
 
 
@@ -76,3 +77,39 @@ class TestTails:
         # P(R >= n) = 2^-n for a fair coin: the basis of Eq. (1).
         for n in range(1, 20):
             assert binomial_sf(n, n) == pytest.approx(2.0**-n)
+
+
+def _term_sum(n, lo, hi, p):
+    total = 0.0
+    for k in range(lo, hi + 1):
+        total += binomial_pmf(n, k, p)
+    return total
+
+
+class TestPmfRows:
+    """Tails over cached pmf rows equal the term-by-term sums bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_rows_and_tails_bit_identical(self, p):
+        for n in range(0, 60):
+            assert binomial._pmf_row(n, p) == tuple(
+                binomial_pmf(n, k, p) for k in range(n + 1)
+            )
+            for r in range(0, n):  # r >= n short-cuts to 1.0
+                assert binomial_cdf(n, r, p) == min(_term_sum(n, 0, r, p), 1.0)
+            for r in range(1, n + 1):  # r <= 0 short-cuts to 1.0
+                if r > (n + 1) // 2 or p <= 0.5:  # else the complement of cdf
+                    assert binomial_sf(n, r, p) == min(_term_sum(n, r, n, p), 1.0)
+
+    def test_large_windows_bypass_the_row_cache(self):
+        n = binomial._ROW_LIMIT + 1000
+        before = binomial._pmf_row.cache_info().currsize
+        assert binomial_sf(n, n - 3) == min(_term_sum(n, n - 3, n, 0.5), 1.0)
+        assert binomial_cdf(n, 3) == min(_term_sum(n, 0, 3, 0.5), 1.0)
+        assert binomial._pmf_row.cache_info().currsize == before
+
+    def test_bad_p_still_rejected(self):
+        with pytest.raises(ValueError):
+            binomial_sf(3, 1, p=1.5)
+        with pytest.raises(ValueError):
+            binomial_cdf(3, 1, p=float("nan"))

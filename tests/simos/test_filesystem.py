@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simos.engine import SimulationError
-from repro.simos.filesystem import Volume, populate_volume
+from repro.simos.filesystem import Extent, Volume, populate_volume
 
 
 def make_volume(blocks=10_000) -> Volume:
@@ -67,6 +68,21 @@ class TestAllocation:
         with pytest.raises(SimulationError, match="contiguous"):
             vol.allocate(2, fragments=1)
 
+    def test_failed_multi_fragment_allocation_is_undone(self):
+        # Free runs of 30 and 60 blocks: the first 45-block piece fits in
+        # the 60-block run, the second fits nowhere.
+        vol = make_volume(blocks=100)
+        first = vol.allocate(30)
+        vol.allocate(10)
+        vol.free(first)
+        assert vol.free_blocks == 90
+        with pytest.raises(SimulationError, match="contiguous"):
+            vol.allocate(90, fragments=2)
+        assert vol.free_blocks == 90
+        assert vol.largest_free_extent() == 60
+        assert vol.allocate(60) == [Extent(40, 60)]
+        assert vol.allocate(30) == [Extent(0, 30)]
+
 
 class TestJournal:
     def test_create_logs_record(self):
@@ -102,6 +118,14 @@ class TestJournal:
         usns = [r.usn for r in vol.journal_since(0)]
         assert usns == sorted(usns)
         assert len(set(usns)) == len(usns)
+
+    def test_negative_usn_rejected(self):
+        vol = make_volume()
+        for i in range(4):
+            vol.create_file(f"f{i}", 4096, when=0.0)
+        with pytest.raises(SimulationError, match="non-negative"):
+            vol.journal_since(-1)
+        assert len(vol.journal_since(0)) == 4
 
 
 class TestReadPlan:
@@ -201,6 +225,22 @@ class TestSisMerge:
         vol.modify_file(b.file_id, when=2.0, new_content_id=5)
         assert vol.file(b.file_id).sis_link is None
 
+    def test_modify_on_full_volume_keeps_link(self):
+        vol = make_volume(blocks=20)
+        a = vol.create_file("a", 10 * 4096, when=0.0, content_id=1)
+        b = vol.create_file("b", 10 * 4096, when=0.0, content_id=1)
+        vol.merge_duplicate(b.file_id, a.file_id, when=1.0)
+        vol.create_file("c", 10 * 4096, when=1.5)
+        usn = vol.last_usn
+        with pytest.raises(SimulationError, match="full"):
+            vol.modify_file(b.file_id, when=2.0, new_content_id=5)
+        linked = vol.file(b.file_id)
+        assert linked.sis_link == a.file_id
+        assert linked.mtime == 0.0
+        assert linked.content_id == 1
+        assert vol.read_plan(b.file_id) == vol.read_plan(a.file_id)
+        assert vol.journal_since(usn) == []
+
 
 class TestPopulate:
     def test_populate_respects_parameters(self):
@@ -281,3 +321,135 @@ class TestInvariants:
                 blocks = set(range(extent.start, extent.end))
                 assert not (blocks & claimed)
                 claimed |= blocks
+
+
+class ListVolume(Volume):
+    """Reference free space: a plain address-sorted list of ``Extent``.
+
+    The straightforward allocator: every fit is collected before the first
+    is taken, and each free rebuilds the list of starts to bisect.  Only
+    the free-space methods are replaced, so both volumes share the file
+    operations and the all-or-nothing ``allocate``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.runs = [Extent(0, self.total_blocks)]
+
+    @property
+    def free_blocks(self) -> int:
+        return sum(e.count for e in self.runs)
+
+    def largest_free_extent(self) -> int:
+        return max((e.count for e in self.runs), default=0)
+
+    def _allocate_piece(self, size, rng):
+        candidates = [i for i, e in enumerate(self.runs) if e.count >= size]
+        if candidates:
+            index = rng.choice(candidates) if rng is not None else candidates[0]
+            chunk = self.runs[index]
+            rest = Extent(chunk.start + size, chunk.count - size)
+            if rest.count > 0:
+                self.runs[index] = rest
+            else:
+                del self.runs[index]
+            return Extent(chunk.start, size)
+        raise SimulationError(
+            f"volume {self.name}: no contiguous run of {size} blocks "
+            f"(largest free: {self.largest_free_extent()}); "
+            "allocate with more fragments"
+        )
+
+    def free(self, extents):
+        for extent in extents:
+            starts = [e.start for e in self.runs]
+            i = bisect.bisect_left(starts, extent.start)
+            if i < len(self.runs) and extent.end == self.runs[i].start:
+                extent = Extent(extent.start, extent.count + self.runs[i].count)
+                del self.runs[i]
+            if i > 0 and self.runs[i - 1].end == extent.start:
+                extent = Extent(self.runs[i - 1].start, self.runs[i - 1].count + extent.count)
+                del self.runs[i - 1]
+                i -= 1
+            self.runs.insert(i, extent)
+
+
+def free_runs(vol: Volume) -> list[Extent]:
+    return [Extent(s, c) for s, c in zip(vol._starts, vol._counts)]
+
+
+def apply_op(vol: Volume, op: tuple, step: int):
+    """Run one operation; return what it produced, or the error it raised."""
+    kind, *args = op
+    live = sorted(f.file_id for f in vol.files())
+    try:
+        if kind == "create":
+            blocks, fragments, spread_seed, content = args
+            f = vol.create_file(
+                f"f{step}", blocks * 4096 - 100, when=float(step),
+                content_id=content, fragments=fragments, spread_seed=spread_seed,
+            )
+            return f.file_id, f.extents
+        if not live:
+            return None
+        fid = live[args[0] % len(live)]
+        if kind == "delete":
+            vol.delete_file(fid, when=float(step))
+            return fid
+        if kind == "modify":
+            vol.modify_file(fid, when=float(step))
+            return vol.file(fid).extents
+        if kind == "merge":
+            others = [other for other in live if other != fid]
+            if not others:
+                return None
+            return vol.merge_duplicate(fid, others[args[1] % len(others)], when=float(step))
+        plan = vol.relocation_plan(fid)
+        if plan is not None:
+            if kind == "relocate":
+                vol.commit_relocation(fid, plan[2], when=float(step))
+            else:
+                vol.abort_relocation(plan[2])
+        return plan
+    except SimulationError as exc:
+        return ("error", str(exc))
+
+
+_pick = st.integers(0, 1 << 16)
+_create = st.tuples(
+    st.just("create"), st.integers(1, 40), st.integers(1, 10),
+    st.none() | st.integers(0, 1 << 20), st.sampled_from([None, 0, 1]),
+)
+# Creates are listed three times so volumes fill and fragment.
+_ops = st.one_of(
+    _create,
+    _create,
+    _create,
+    st.tuples(st.just("delete"), _pick),
+    st.tuples(st.just("modify"), _pick),
+    st.tuples(st.just("merge"), _pick, _pick),
+    st.tuples(st.just("relocate"), _pick),
+    st.tuples(st.just("abort"), _pick),
+)
+
+
+class TestFreeSpaceDifferential:
+    """Sorted parallel run lists behave exactly like the list of extents."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(16, 200), st.lists(_ops, min_size=20, max_size=80))
+    def test_matches_list_reference(self, total_blocks, ops):
+        vol = Volume("C", "C", total_blocks=total_blocks)
+        ref = ListVolume("C", "C", total_blocks=total_blocks)
+        for step, op in enumerate(ops):
+            assert apply_op(vol, op, step) == apply_op(ref, op, step), op
+            runs = free_runs(vol)
+            assert runs == ref.runs
+            assert vol.free_blocks == ref.free_blocks
+            assert vol.largest_free_extent() == ref.largest_free_extent()
+            # Sorted, disjoint, never adjacent, inside the volume.
+            assert all(r.count > 0 for r in runs)
+            assert all(a.end < b.start for a, b in zip(runs, runs[1:]))
+            assert not runs or (runs[0].start >= 0 and runs[-1].end <= total_blocks)
+            assert sum(r.count for r in runs) == vol.free_blocks
+            assert vol.used_blocks == sum(f.blocks for f in vol.files())
