@@ -99,17 +99,9 @@ MICROBENCHMARKS: dict[str, tuple[str, str]] = {
         "engine_wheel_report",
         "dense-fleet microbench: 4096 concurrent timer chains, wheel vs heap",
     ),
-    "engine_sharded": (
-        "engine_sharded_report",
-        "sharded-fleet bench: ChainMachine barrier rounds + digest parity",
-    ),
     "engine_sparse": (
         "engine_sparse_report",
         "sparse-chain microbench: near-idle timer chains, wheel vs heap",
-    ),
-    "shard_imbalanced": (
-        "shard_imbalanced_report",
-        "skewed-fleet bench: work-stealing balance gain + digest parity",
     ),
 }
 
@@ -138,8 +130,7 @@ def run_benchmark(
 
     ``micro_args`` are keyword overrides for a microbenchmark's report
     factory (e.g. ``{"rounds": 8000, "burst": 80}`` for the hotpath churn
-    knob, or ``{"shards": 4}`` for the sharded fleet); ignored for
-    scenario benchmarks.
+    knob); ignored for scenario benchmarks.
     """
     from repro.experiments.scenarios import measured_trial
 
@@ -282,8 +273,6 @@ def compare_reports(
             "burst",
             "chains",
             "hops",
-            "machines",
-            "shards",
             "seed",
             "repeats",
         )

@@ -8,9 +8,9 @@ failure modes: ``REPRO_SCALE=0`` silently poisoned every workload sizing,
 ``invalid literal for int()`` that named neither the variable nor the
 value.  This module is the single parsing layer:
 
-* :func:`env_int` — integer knobs (``REPRO_TRIALS``, ``REPRO_JOBS``,
-  ``REPRO_SHARDS``): whitespace is stripped, an empty value counts as
-  unset, and errors name the variable and the offending value.
+* :func:`env_int` — integer knobs (``REPRO_TRIALS``, ``REPRO_JOBS``):
+  whitespace is stripped, an empty value counts as unset, and errors
+  name the variable and the offending value.
 * :func:`env_scale` — finite-and-positive float knobs (``REPRO_SCALE``):
   ``0``, negatives, ``nan`` and ``inf`` are rejected up front instead of
   surfacing later as degenerate workloads.

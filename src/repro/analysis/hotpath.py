@@ -21,22 +21,12 @@ timing wheel), and each report compares the two side by side:
   live timers at once.  Here the heap pays ``O(log n)`` per op while the
   wheel's slot insert/drain stays ``O(1)``; this report's headline is the
   wheel's throughput, with the heap on the identical workload alongside.
-* **sharded fleet** (``engine_sharded``) — :class:`ChainMachine` fleets
-  through :class:`~repro.simos.shard.ShardedFleet` barrier rounds,
-  measuring aggregate events/s across worker processes and re-checking
-  the ``shards=1`` vs ``shards=N`` digest-parity contract every run.
 * **sparse chains** (``engine_sparse``) — a handful of live timer
   chains, the near-idle regime that used to be the wheel's worst case
-  (per-event slot bookkeeping on a near-empty wheel).  The report is the
-  wheel-by-default safety gate: the wheel's sparse throughput must stay
-  within the CI band of its committed baseline, with the heap on the
-  identical workload alongside.
-* **imbalanced shards** (``shard_imbalanced``) — the
-  :func:`~repro.simos.shard.skewed_machine` fleet, where round-robin
-  placement lands every heavy machine on shard 0.  Runs the fleet with
-  and without work-stealing rebalancing and reports the critical-path
-  balance gain (deterministic, unlike wall time on a loaded CI box)
-  plus the digest-parity proof with migrations in play.
+  (per-event slot bookkeeping on a near-empty wheel).  The report guards
+  the opt-in wheel's sparse regime: its throughput must stay within the
+  CI band of its committed baseline, with the heap (the default core) on
+  the identical workload alongside.
 
 Every run re-checks the optimization's correctness guards: the O(1)
 ``pending`` counter must equal a full store scan, and compaction must
@@ -48,20 +38,15 @@ from __future__ import annotations
 
 import time
 
-from repro.simos.engine import Engine
-
 __all__ = [
     "live_entries",
-    "live_heap_entries",
     "stored_entries",
     "run_engine_hotpath",
     "run_dense_fleet",
     "run_sparse_chains",
     "engine_hotpath_report",
     "engine_wheel_report",
-    "engine_sharded_report",
     "engine_sparse_report",
-    "shard_imbalanced_report",
 ]
 
 
@@ -74,10 +59,6 @@ def live_entries(engine) -> int:
     heap = getattr(engine, "_heap", None)
     entries = heap if heap is not None else engine._entries()
     return sum(1 for h in entries if h.__class__ is tuple or not h.cancelled)
-
-
-#: Historical name from when the heap was the only core.
-live_heap_entries = live_entries
 
 
 def stored_entries(engine) -> int:
@@ -176,8 +157,8 @@ def run_sparse_chains(
     With only a couple of live timers the store never grows, so all the
     cost is per-event machinery: heap push/pop for the heap core, the
     ready-band sparse bypass for the wheel.  This is the workload that
-    regressed before the bypass existed and the one the wheel-by-default
-    flip is gated on.
+    regressed before the bypass existed and the one the CI gate holds the
+    opt-in wheel to.
     """
     engine = _make(engine_core)
     post_after = engine.post_after
@@ -321,84 +302,17 @@ def engine_wheel_report(
     }
 
 
-def engine_sharded_report(
-    machines: int = 8,
-    shards: int | None = None,
-    rounds: int = 8,
-    chains: int = 512,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict:
-    """Sharded-fleet aggregate throughput as ``BENCH_engine_sharded.json``.
-
-    Runs the :class:`ChainMachine` fleet twice per repeat — inline
-    (``shards=1``) and sharded — and asserts the two digests match, so
-    the determinism contract is re-proven on every benchmark run, not
-    just in the test suite.  ``events_per_sec`` is the sharded layout's
-    aggregate dispatch rate (barrier exchange included, machine
-    construction excluded).
-    """
-    from functools import partial
-
-    from repro.analysis.parallel import code_fingerprint, resolve_shards
-    from repro.simos.shard import ChainMachine, ShardedFleet
-
-    shards = resolve_shards(shards, machines=machines, default=2)
-    make_machine = partial(ChainMachine, chains=chains)
-    serial_best = sharded_best = 0.0
-    digests: tuple[str, str] = ("", "")
-    events_fired = messages_routed = 0
-    start = time.perf_counter()
-    for _ in range(max(1, repeats)):
-        inline = ShardedFleet(machines, make_machine, shards=1, seed=seed)
-        t0 = time.perf_counter()
-        serial = inline.run(rounds)
-        serial_best = max(serial_best, serial.events_fired / (time.perf_counter() - t0))
-        with ShardedFleet(machines, make_machine, shards=shards, seed=seed) as fleet:
-            t0 = time.perf_counter()
-            result = fleet.run(rounds)
-            sharded_best = max(
-                sharded_best, result.events_fired / (time.perf_counter() - t0)
-            )
-        digests = (serial.digest, result.digest)
-        assert digests[0] == digests[1], (
-            f"shard digest parity broken: shards=1 {digests[0]} "
-            f"!= shards={shards} {digests[1]}"
-        )
-        events_fired = result.events_fired
-        messages_routed = result.messages_routed
-    wall = time.perf_counter() - start
-    return {
-        "name": "engine_sharded",
-        "kind": "micro",
-        "machines": machines,
-        "shards": shards,
-        "rounds": rounds,
-        "chains": chains,
-        "seed": seed,
-        "repeats": repeats,
-        "events_per_sec": round(sharded_best),
-        "serial_events_per_sec": round(serial_best),
-        "parallel_speedup": round(sharded_best / serial_best, 2),
-        "events_fired": events_fired,
-        "messages_routed": messages_routed,
-        "parity_ok": digests[0] == digests[1],
-        "digest": digests[0],
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
 def engine_sparse_report(
     chains: int = 2, hops: int = 100_000, repeats: int = 3
 ) -> dict:
     """Sparse-chain throughput, wheel vs heap, as ``BENCH_engine_sparse.json``.
 
-    ``events_per_sec`` is the wheel core (the default engine) on the
-    near-idle workload — the number the CI perf gate holds against the
-    committed baseline so the wheel-by-default flip can never silently
-    regress the sparse regime.  The heap runs the identical workload and
-    rides along as ``heap_events_per_sec`` with the ``vs_heap`` ratio.
+    ``events_per_sec`` is the wheel core (opt-in, ``REPRO_ENGINE=wheel``)
+    on the near-idle workload — the number the CI perf gate holds against
+    the committed baseline so the wheel cannot silently regress the
+    sparse regime while it is kept.  The heap, the default core, runs the
+    identical workload and rides along as ``heap_events_per_sec`` with the
+    ``vs_heap`` ratio.
     """
     from repro.analysis.parallel import code_fingerprint
 
@@ -419,111 +333,6 @@ def engine_sparse_report(
         "events_per_sec": round(wheel),
         "heap_events_per_sec": round(heap),
         "vs_heap": round(wheel / heap, 2),
-        "wall_time_s": round(wall, 4),
-        "code_fingerprint": code_fingerprint(),
-    }
-
-
-def _placement_imbalance(snapshots: list[dict], shard_ids: list[list[int]]) -> float:
-    """Critical-path ratio of a placement: max shard load over mean.
-
-    Computed from the (placement-independent) per-machine fired-event
-    counts, so the metric is deterministic even when the placement came
-    from wall-clock stealing.  1.0 is perfect balance; with barrier
-    stepping the fleet's wall time tracks the slowest shard, so aggregate
-    throughput scales with roughly the inverse of this ratio.
-    """
-    events = {s["machine"]: int(s.get("events_fired", 0)) for s in snapshots}
-    loads = [sum(events[mid] for mid in ids) for ids in shard_ids]
-    mean = sum(loads) / len(loads)
-    return max(loads) / mean if mean > 0 else 1.0
-
-
-def shard_imbalanced_report(
-    machines: int = 16,
-    shards: int | None = None,
-    rounds: int = 10,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict:
-    """Work-stealing gain on a skewed fleet as ``BENCH_shard_imbalanced.json``.
-
-    Runs the :func:`~repro.simos.shard.skewed_machine` fleet three ways —
-    inline (``shards=1``), sharded without rebalancing, and sharded with
-    work-stealing — and asserts all three digests match, proving the
-    parity contract *with migrations in play*.  ``events_per_sec`` is the
-    rebalanced layout's measured aggregate rate (the CI-gated number);
-    ``balance_gain`` is the deterministic headline: the critical-path
-    imbalance of the static placement over the stolen-to placement, i.e.
-    how much shorter the slowest shard's queue got.  Wall-clock speedup
-    follows the balance gain only on a multi-core box, so the gate rides
-    on the deterministic metric's inputs, not the host's core count.
-    """
-    from repro.analysis.parallel import code_fingerprint, resolve_shards
-    from repro.simos.shard import ShardedFleet, skewed_machine
-
-    shards = resolve_shards(shards, machines=machines, default=4)
-    static_best = stolen_best = 0.0
-    migrations = 0
-    imbalance_static = imbalance_stolen = 1.0
-    digests = ("", "", "")
-    events_fired = 0
-    start = time.perf_counter()
-    for _ in range(max(1, repeats)):
-        inline = ShardedFleet(machines, skewed_machine, shards=1, seed=seed)
-        serial = inline.run(rounds)
-        with ShardedFleet(
-            machines, skewed_machine, shards=shards, seed=seed
-        ) as fleet:
-            t0 = time.perf_counter()
-            static = fleet.run(rounds)
-            static_best = max(
-                static_best, static.events_fired / (time.perf_counter() - t0)
-            )
-            imbalance_static = _placement_imbalance(
-                static.snapshots, fleet._shard_ids
-            )
-        with ShardedFleet(
-            machines,
-            skewed_machine,
-            shards=shards,
-            seed=seed,
-            rebalance=True,
-            balance_on="events",
-        ) as fleet:
-            t0 = time.perf_counter()
-            stolen = fleet.run(rounds)
-            stolen_best = max(
-                stolen_best, stolen.events_fired / (time.perf_counter() - t0)
-            )
-            imbalance_stolen = _placement_imbalance(
-                stolen.snapshots, fleet._shard_ids
-            )
-            migrations = stolen.migrations
-        digests = (serial.digest, static.digest, stolen.digest)
-        assert digests[0] == digests[1] == digests[2], (
-            f"shard digest parity broken: shards=1 {digests[0]} vs "
-            f"static {digests[1]} vs rebalanced {digests[2]}"
-        )
-        events_fired = stolen.events_fired
-    wall = time.perf_counter() - start
-    return {
-        "name": "shard_imbalanced",
-        "kind": "micro",
-        "machines": machines,
-        "shards": shards,
-        "rounds": rounds,
-        "seed": seed,
-        "repeats": repeats,
-        "events_per_sec": round(stolen_best),
-        "static_events_per_sec": round(static_best),
-        "migrations": migrations,
-        "imbalance_static": round(imbalance_static, 3),
-        "imbalance_rebalanced": round(imbalance_stolen, 3),
-        "balance_gain": round(imbalance_static / imbalance_stolen, 2),
-        "events_fired": events_fired,
-        "parity_ok": digests[0] == digests[1] == digests[2],
-        "digest": digests[0],
         "wall_time_s": round(wall, 4),
         "code_fingerprint": code_fingerprint(),
     }

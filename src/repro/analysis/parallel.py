@@ -54,7 +54,6 @@ __all__ = [
     "TrialCache",
     "TrialEnvelope",
     "resolve_jobs",
-    "resolve_shards",
     "code_fingerprint",
     "config_fingerprint",
     "DEFAULT_CACHE_DIR",
@@ -83,31 +82,6 @@ def resolve_jobs(jobs: int | None = None, default: int | None = None) -> int:
     resolved = env_int("REPRO_JOBS", default=None)
     if resolved is None:
         resolved = default if default is not None else (os.cpu_count() or 1)
-    return resolved
-
-
-def resolve_shards(
-    shards: int | None = None,
-    machines: int | None = None,
-    default: int | None = None,
-) -> int:
-    """Shard count for a :class:`repro.simos.shard.ShardedFleet` run.
-
-    Same precedence and strictness as :func:`resolve_jobs` — explicit
-    ``shards``, else ``REPRO_SHARDS`` (empty counts as unset), else
-    ``default`` (``None`` meaning all cores); errors name the source and
-    the offending value.  The count is additionally clamped to
-    ``machines`` when given: a shard with no machines would idle through
-    every barrier round.
-    """
-    if shards is not None:
-        resolved = parse_count(shards, "shards")
-    else:
-        resolved = env_int("REPRO_SHARDS", default=None)
-        if resolved is None:
-            resolved = default if default is not None else (os.cpu_count() or 1)
-    if machines is not None:
-        resolved = min(resolved, machines)
     return resolved
 
 

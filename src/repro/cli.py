@@ -533,8 +533,6 @@ def _cmd_bench(args: argparse.Namespace, out: Output) -> int:
     micro_args: dict = {}
     if args.churn is not None:
         micro_args["rounds"], micro_args["burst"] = args.churn
-    if args.shards is not None:
-        micro_args["shards"] = args.shards
     try:
         report = run_benchmark(
             args.name,
@@ -556,29 +554,12 @@ def _cmd_bench(args: argparse.Namespace, out: Output) -> int:
                 f"{report['speedup_vs_heap']:.2f}x on "
                 f"{report['chains']}x{report['hops']} dense chains"
             )
-        elif report["name"] == "engine_sharded":
-            out.result(
-                f"{report['name']}: {report['events_per_sec']:,} events/s aggregate "
-                f"@ shards={report['shards']}, "
-                f"{report['serial_events_per_sec']:,} events/s serial, "
-                f"digest parity {'ok' if report['parity_ok'] else 'FAILED'}"
-            )
         elif report["name"] == "engine_sparse":
             out.result(
                 f"{report['name']}: {report['events_per_sec']:,} events/s (wheel), "
                 f"{report['heap_events_per_sec']:,} events/s (heap), "
                 f"{report['vs_heap']:.2f}x on {report['chains']} sparse "
                 f"chain(s) of {report['hops']} hops"
-            )
-        elif report["name"] == "shard_imbalanced":
-            out.result(
-                f"{report['name']}: {report['events_per_sec']:,} events/s rebalanced "
-                f"@ shards={report['shards']}, imbalance "
-                f"{report['imbalance_static']:.2f} -> "
-                f"{report['imbalance_rebalanced']:.2f} "
-                f"(balance gain {report['balance_gain']:.2f}x, "
-                f"{report['migrations']} migration(s)), "
-                f"digest parity {'ok' if report['parity_ok'] else 'FAILED'}"
             )
         else:
             out.result(
@@ -588,7 +569,7 @@ def _cmd_bench(args: argparse.Namespace, out: Output) -> int:
                 f"(cancel churn) vs {report['wheel_churn_ops_per_sec']:,} (wheel)"
             )
         out.say(f"  report -> {path}")
-        return 0 if report.get("parity_ok", True) is not False else 1
+        return 0
     out.result(
         f"{report['name']}: {report['trials']} trials @ jobs={report['jobs']} "
         f"in {report['wall_time_s']:.2f}s "
@@ -1080,10 +1061,6 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--churn", type=int, nargs=2, metavar=("ROUNDS", "BURST"), default=None,
         help="engine_hotpath only: cancel-churn rounds and burst size",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=None,
-        help="sharded benches only: worker shards (default: REPRO_SHARDS)",
     )
     bench.add_argument(
         "--out", default="benchmarks/results",

@@ -197,7 +197,7 @@ class RegulatorDaemon:
         self._restart_backoff = restart_backoff
         self._restart_backoff_cap = restart_backoff_cap
         #: Which event core orders the daemon's periodic deadlines
-        #: (``None`` consults ``REPRO_ENGINE``, wheel by default) — the
+        #: (``None`` consults ``REPRO_ENGINE``, heap by default) — the
         #: deployable path runs the same core as the simulator.
         self.engine_core = engine_core
 

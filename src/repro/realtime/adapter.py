@@ -81,8 +81,9 @@ class RealTimeRegulator:
         self._store = store
         self._save_interval = save_interval
         #: Periodic-save deadlines ride the same event core the simulator
-        #: uses (``engine_core=None`` consults ``REPRO_ENGINE``), so the
-        #: deployable path exercises whichever core is selected.
+        #: uses (``engine_core=None`` consults ``REPRO_ENGINE``, heap by
+        #: default), so the deployable path exercises whichever core is
+        #: selected.
         self._deadlines = DeadlineQueue(engine_core)
         if store is not None:
             self._deadlines.schedule(self._save_interval, self._periodic_save)
@@ -170,6 +171,10 @@ class RealTimeRegulator:
         with self._cond:
             if tid in self._supervisor.thread_ids():
                 self._supervisor.unregister_thread(tid)
+                # Seat the next owner, or hand the machine-wide token back
+                # when no thread is left, so peer processes need not wait
+                # out the superintendent's staleness timeout.
+                self._supervisor.poll(time.monotonic())
             self._cond.notify_all()
 
     # -- persistence & lifecycle -------------------------------------------------------

@@ -10,13 +10,13 @@ hoc bookkeeping.
 
 :class:`DeadlineQueue` closes that gap.  It is a thin wall-clock facade
 over :func:`repro.simos.kernel.make_engine`, so the *same* core the
-simulator runs on (wheel by default, ``REPRO_ENGINE=heap`` to force the
-binary heap) orders the daemon's deadlines.  Wall time maps onto engine
-time through a fixed epoch taken at construction; firing is explicit —
-callers :meth:`poll` with the current wall clock (typically right after
-an ``asyncio.sleep`` or condition wait sized by :meth:`next_wait`), and
-every deadline at or before that instant fires in exact
-``(deadline, insertion)`` order.
+simulator runs on (the binary heap by default, ``REPRO_ENGINE=wheel``
+for the timing wheel) orders the daemon's deadlines.  Wall time maps
+onto engine time through a fixed epoch taken at construction; firing is
+explicit — callers :meth:`poll` with the current wall clock (typically
+right after an ``asyncio.sleep`` or condition wait sized by
+:meth:`next_wait`), and every deadline at or before that instant fires
+in exact ``(deadline, insertion)`` order.
 
 The queue is deliberately not thread-safe: each owner (the adapter
 under its lock, a daemon loop on its event loop) drives its own queue.
@@ -39,7 +39,7 @@ class DeadlineQueue:
     """Monotonic-clock deadlines ordered by a simulation event core.
 
     ``engine_core`` follows :func:`make_engine` resolution: ``None``
-    consults ``REPRO_ENGINE`` and defaults to the wheel.  ``clock`` is
+    consults ``REPRO_ENGINE`` and defaults to the heap.  ``clock`` is
     injectable for deterministic tests; production callers leave it on
     :func:`time.monotonic`.
     """

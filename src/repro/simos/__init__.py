@@ -31,7 +31,6 @@ from repro.simos.kernel import Kernel, SimThread, ThreadState, make_engine
 from repro.simos.memory import MemoryManager, TouchMemory
 from repro.simos.network import NetSend, NetworkLink, NetworkStats
 from repro.simos.perfcounters import PerfCounter, PerfCounterRegistry
-from repro.simos.shard import ChainMachine, ShardedFleet, ShardResult
 from repro.simos.sim_manners import MannersTestpoint, SetThreadPriority, SimManners
 from repro.simos.trace import DutyTrace, TestpointRecord, TestpointTrace
 from repro.simos.wheel import EventCore, WheelEngine
@@ -46,7 +45,6 @@ __all__ = [
     "ChangeRecord",
     "Condition",
     "CpuPriority",
-    "ChainMachine",
     "CpuStats",
     "Delay",
     "Disk",
@@ -69,8 +67,6 @@ __all__ = [
     "PerfCounter",
     "PerfCounterRegistry",
     "SetThreadPriority",
-    "ShardResult",
-    "ShardedFleet",
     "SignalCondition",
     "SimFile",
     "SimManners",

@@ -329,13 +329,21 @@ class Volume:
         """SIS merge: replace a duplicate with a link to the common store.
 
         Frees the duplicate's blocks and records the link.  Returns the
-        number of blocks reclaimed.  Both files must have equal content.
+        number of blocks reclaimed.  Both files must have equal content,
+        and the keeper must hold its own blocks: merging a file into
+        itself or into a linked file would free the only copy.
         """
         dup = self.file(file_id)
         keeper = self.file(into_file_id)
         if dup.content_id != keeper.content_id:
             raise SimulationError(
                 f"files {file_id} and {into_file_id} are not duplicates"
+            )
+        if file_id == into_file_id:
+            raise SimulationError(f"cannot merge file {file_id} into itself")
+        if keeper.sis_link is not None:
+            raise SimulationError(
+                f"keeper {into_file_id} is itself linked to {keeper.sis_link}"
             )
         if dup.sis_link is not None:
             return 0

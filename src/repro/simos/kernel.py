@@ -49,30 +49,28 @@ from repro.simos.wheel import WheelEngine
 
 __all__ = ["ThreadState", "SimThread", "Kernel", "DiskFault", "make_engine"]
 
-#: Event-core registry for :func:`make_engine`.  ``wheel`` is the default:
-#: with the sparse ready-band bypass and adaptive resolution it matches the
-#: heap on sparse machines (a handful of pending timers) and wins ~2x on
-#: dense fleet-scale machines (thousands of concurrent timers, where heap
-#: reordering costs O(log n) per event).  ``heap`` remains the escape hatch
-#: (``REPRO_ENGINE=heap``) for workloads the cost model mis-serves — see
-#: the "when to force heap" table in docs/performance.md.  Both fire
-#: identical event sequences — the verify wheel oracle holds them to
-#: bit-identical logs.
+#: Event-core registry for :func:`make_engine`.  ``heap`` is the default:
+#: every paper scenario simulates one machine with a few dozen pending
+#: timers, where the binary heap runs each trial ~10% faster than the
+#: wheel.  ``wheel`` is opt-in (``REPRO_ENGINE=wheel``); it wins only on
+#: dense synthetic timer fleets — see "The timing-wheel event core" in
+#: docs/performance.md.  Both fire identical event sequences — the verify
+#: wheel oracle holds them to bit-identical logs.
 ENGINE_CORES = {"heap": Engine, "wheel": WheelEngine}
 
 
 def make_engine(core: str | None = None):
-    """Build an event core from a spec: ``wheel`` (default) or ``heap``.
+    """Build an event core from a spec: ``heap`` (default) or ``wheel``.
 
     ``core=None`` falls back to the ``REPRO_ENGINE`` environment variable,
-    then to ``wheel`` — so a whole experiment sweep can be flipped onto
-    the heap core without touching call sites.  The wheel accepts an
+    then to ``heap`` — so a whole experiment sweep can be flipped onto
+    the wheel core without touching call sites.  The wheel accepts an
     optional pinned resolution suffix, ``wheel:<bits>`` (e.g.
     ``REPRO_ENGINE=wheel:10`` for 1/1024 s ticks), which also disables
     the online adaptation exactly as ``WheelEngine(resolution_bits=10)``
     does.
     """
-    spec = core or os.environ.get("REPRO_ENGINE") or "wheel"
+    spec = core or os.environ.get("REPRO_ENGINE") or "heap"
     name, _, suffix = spec.partition(":")
     try:
         cls = ENGINE_CORES[name]

@@ -210,6 +210,28 @@ class TestSisMerge:
         vol.merge_duplicate(b.file_id, a.file_id, when=1.0)
         assert vol.merge_duplicate(b.file_id, a.file_id, when=2.0) == 0
 
+    def test_merge_into_itself_rejected(self):
+        vol = make_volume()
+        a = vol.create_file("a", 4 * 4096, when=0.0, content_id=1)
+        with pytest.raises(SimulationError, match="itself"):
+            vol.merge_duplicate(a.file_id, a.file_id, when=1.0)
+        assert vol.file(a.file_id).sis_link is None
+        assert vol.used_blocks == 4
+        assert len(vol.read_plan(a.file_id)) == 1
+
+    def test_merge_into_linked_keeper_rejected(self):
+        # a -> b then b -> a would free both copies and make read_plan
+        # follow the links forever.
+        vol = make_volume()
+        a = vol.create_file("a", 4 * 4096, when=0.0, content_id=1)
+        b = vol.create_file("b", 4 * 4096, when=0.0, content_id=1)
+        vol.merge_duplicate(a.file_id, b.file_id, when=1.0)
+        with pytest.raises(SimulationError, match="linked"):
+            vol.merge_duplicate(b.file_id, a.file_id, when=2.0)
+        assert vol.file(b.file_id).sis_link is None
+        assert vol.used_blocks == 4
+        assert vol.read_plan(a.file_id) == vol.read_plan(b.file_id) != []
+
     def test_link_reads_through_to_keeper(self):
         vol = make_volume()
         a = vol.create_file("a", 8 * 4096, when=0.0, content_id=1)

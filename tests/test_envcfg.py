@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.env import check_scale, env_flag, env_int, env_scale, parse_count
-from repro.analysis.parallel import resolve_jobs, resolve_shards
+from repro.analysis.parallel import resolve_jobs
 from repro.analysis.runner import trial_count
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -104,7 +104,6 @@ class TestEnvScale:
 class TestEnvInt:
     @pytest.mark.parametrize("var,resolve", [
         ("REPRO_JOBS", lambda: resolve_jobs(None, default=1)),
-        ("REPRO_SHARDS", lambda: resolve_shards(None, default=1)),
         ("REPRO_TRIALS", lambda: trial_count(default=5)),
     ])
     def test_empty_string_counts_as_unset(self, monkeypatch, var, resolve):
@@ -116,7 +115,6 @@ class TestEnvInt:
 
     @pytest.mark.parametrize("var,resolve", [
         ("REPRO_JOBS", lambda: resolve_jobs(None, default=1)),
-        ("REPRO_SHARDS", lambda: resolve_shards(None, default=1)),
         ("REPRO_TRIALS", lambda: trial_count(default=5)),
     ])
     def test_whitespace_counts_as_unset(self, monkeypatch, var, resolve):
@@ -125,7 +123,6 @@ class TestEnvInt:
 
     @pytest.mark.parametrize("var,resolve", [
         ("REPRO_JOBS", lambda: resolve_jobs(None)),
-        ("REPRO_SHARDS", lambda: resolve_shards(None)),
         ("REPRO_TRIALS", lambda: trial_count()),
     ])
     @pytest.mark.parametrize("raw", ["zero", "1.5", "0", "-2"])

@@ -95,6 +95,21 @@ class TestTokenProtocol:
 
 
 class TestWithRealTimeRegulator:
+    def test_release_of_last_thread_returns_token(self, tmp_path):
+        """A process whose last thread leaves must not keep the token: a
+        peer would otherwise block until the token goes stale."""
+        from repro.realtime.adapter import RealTimeRegulator
+
+        token = tmp_path / "manners.token"
+        regulator = RealTimeRegulator(
+            superintendent=FileTokenSuperintendent(token), process_id="a"
+        )
+        regulator.testpoint([1.0])
+        assert token.exists()
+        regulator.release()
+        assert not token.exists()
+        assert FileTokenSuperintendent(token).acquire("b", 0.0)
+
     def test_two_regulators_share_machine_token(self, tmp_path):
         """Two RealTimeRegulators (standing in for two OS processes) defer
         to each other through the file token."""
