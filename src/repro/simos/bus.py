@@ -33,14 +33,20 @@ class BusStats:
 
 
 class Bus:
-    """A FCFS-shared transfer channel."""
+    """A FCFS-shared transfer channel.
 
-    __slots__ = ("_engine", "bandwidth", "name", "_busy", "_queue", "stats")
+    An idle bus starts a transfer at once; a finished transfer pumps the
+    queue only when another is waiting.  Either way each transfer is one
+    event, posted for ``duration`` seconds after it starts.
+    """
+
+    __slots__ = ("_engine", "_post_after", "bandwidth", "name", "_busy", "_queue", "stats")
 
     def __init__(self, engine: EventCore, bandwidth: float, name: str = "scsi0") -> None:
         if bandwidth <= 0:
             raise SimulationError(f"bus bandwidth must be positive, got {bandwidth}")
         self._engine = engine
+        self._post_after = engine.post_after
         #: Bytes per second the bus can move.
         self.bandwidth = float(bandwidth)
         self.name = name
@@ -70,21 +76,34 @@ class Bus:
             raise SimulationError(
                 f"transfer duration must be non-negative, got {duration}"
             )
-        self._queue.append((duration, on_done, args))
-        self.stats.queued_peak = max(self.stats.queued_peak, len(self._queue))
-        self._pump()
+        queue = self._queue
+        if self._busy or queue:
+            queue.append((duration, on_done, args))
+            if len(queue) > self.stats.queued_peak:
+                self.stats.queued_peak = len(queue)
+            if not self._busy:
+                self._pump()
+            return
+        # Idle with nothing waiting: the transfer was the whole queue for
+        # an instant, and starts now.
+        if self.stats.queued_peak < 1:
+            self.stats.queued_peak = 1
+        self._start(duration, on_done, args)
 
     # -- internals ------------------------------------------------------------
     def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
-        duration, on_done, args = self._queue.popleft()
+        """Start the oldest waiting transfer; the bus is idle, the queue is not."""
+        self._start(*self._queue.popleft())
+
+    def _start(self, duration: float, on_done: Callable[..., None], args: tuple) -> None:
         self._busy = True
-        self.stats.transfers += 1
-        self.stats.busy_time += duration
-        self._engine.post_after(duration, self._finish, on_done, args)
+        stats = self.stats
+        stats.transfers += 1
+        stats.busy_time += duration
+        self._post_after(duration, self._finish, on_done, args)
 
     def _finish(self, on_done: Callable[..., None], args: tuple) -> None:
         self._busy = False
         on_done(*args)
-        self._pump()
+        if self._queue and not self._busy:
+            self._pump()

@@ -123,10 +123,20 @@ class DiskRequest:
 
 
 class Disk:
-    """A single disk drive with a FCFS request queue."""
+    """A single disk drive with a FCFS request queue.
+
+    The request path is the hot loop of every paper scenario, so the
+    geometry and timing constants are read once from the frozen
+    :class:`DiskParams`, an idle drive serves a new request without
+    queueing it, and a completion pumps the queue only when work is
+    waiting.  None of that changes what is simulated: each request still
+    posts one positioning event, then one transfer event, and draws the
+    same rotational-latency sample as a queued request would.
+    """
 
     __slots__ = (
         "_engine",
+        "_post_after",
         "name",
         "params",
         "_bus",
@@ -139,6 +149,15 @@ class Disk:
         "_last_end_block",
         "_service_started",
         "stats",
+        "_blocks",
+        "_blocks_per_cylinder",
+        "_last_cylinder",
+        "_block_size",
+        "_overhead",
+        "_seek_base",
+        "_seek_factor",
+        "_rotation_period",
+        "_transfer_rate",
     )
 
     #: Supported queue disciplines.  FCFS is the default because it gives
@@ -159,8 +178,9 @@ class Disk:
         scheduler: str = "fcfs",
     ) -> None:
         self._engine = engine
+        self._post_after = engine.post_after
         self.name = name
-        self.params = params or DiskParams()
+        self.params = params = params or DiskParams()
         self._bus = bus
         # zlib.crc32 rather than hash(): str hashing is randomized per
         # process, which would make "deterministic" simulations differ
@@ -178,9 +198,21 @@ class Disk:
         self._queue: deque[DiskRequest] = deque()
         self._busy = False
         self._head_cylinder = 0
-        self._last_end_block: int | None = None
+        #: First block after the last transfer; -1 before any (no block
+        #: matches it, so the first request is never sequential).
+        self._last_end_block = -1
         self._service_started = 0.0
         self.stats = DiskStats()
+        # Frozen params: derive the geometry once, not per request.
+        self._blocks = params.blocks
+        self._blocks_per_cylinder = params.blocks_per_cylinder
+        self._last_cylinder = params.cylinders - 1
+        self._block_size = params.block_size
+        self._overhead = params.overhead
+        self._seek_base = params.seek_base
+        self._seek_factor = params.seek_factor
+        self._rotation_period = params.rotation_period
+        self._transfer_rate = params.transfer_rate
 
     # -- introspection ----------------------------------------------------------
     @property
@@ -195,41 +227,65 @@ class Disk:
 
     def cylinder_of(self, block: int) -> int:
         """Map a logical block to its cylinder."""
-        return min(block // self.params.blocks_per_cylinder, self.params.cylinders - 1)
+        cylinder = block // self._blocks_per_cylinder
+        return cylinder if cylinder < self._last_cylinder else self._last_cylinder
 
     # -- requests -------------------------------------------------------------------
     def submit(
         self, kind: str, block: int, nbytes: int, on_done: Callable[[], None]
     ) -> None:
-        """Queue a request; ``on_done`` fires via the event queue at completion."""
+        """Queue a request; ``on_done`` fires via the event queue at completion.
+
+        A request submitted while others wait (including one submitted
+        from a completion callback, before the drive has picked its next
+        request) queues behind them.
+        """
         if kind not in ("read", "write"):
             raise SimulationError(f"unknown disk request kind {kind!r}")
         if nbytes <= 0:
             raise SimulationError(f"request size must be positive, got {nbytes}")
-        if block < 0 or block >= self.params.blocks:
+        if block < 0 or block >= self._blocks:
             raise SimulationError(
                 f"block {block} out of range for {self.name} "
-                f"({self.params.blocks} blocks)"
+                f"({self._blocks} blocks)"
             )
-        request = DiskRequest(kind, block, nbytes, on_done, self._engine.now)
-        self._queue.append(request)
-        self.stats.queued_peak = max(self.stats.queued_peak, len(self._queue))
-        self._pump()
+        now = self._engine.now
+        request = DiskRequest(kind, block, nbytes, on_done, now)
+        queue = self._queue
+        stats = self.stats
+        if self._busy or queue:
+            queue.append(request)
+            if len(queue) > stats.queued_peak:
+                stats.queued_peak = len(queue)
+            if not self._busy:
+                self._pump()
+            return
+        # Idle with nothing waiting: serve at once.  The request was the
+        # whole queue for an instant and waited zero seconds in it.
+        if stats.queued_peak < 1:
+            stats.queued_peak = 1
+        self._serve(request, now)
 
     # -- internals ---------------------------------------------------------------------
     def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
+        """Serve the next waiting request; the drive is idle, the queue is not."""
         request = self._select()
+        now = self._engine.now
+        wait = now - request.enqueued_at
+        stats = self.stats
+        stats.queue_wait_time += wait
+        if wait > stats.max_queue_wait:
+            stats.max_queue_wait = wait
+        self._serve(request, now)
+
+    def _serve(self, request: DiskRequest, now: float) -> None:
+        """Start positioning for ``request``; its transfer follows."""
         self._busy = True
-        self._service_started = self._engine.now
+        self._service_started = now
         self.stats.requests += 1
-        self.stats.queue_wait_time += self._engine.now - request.enqueued_at
-        self.stats.max_queue_wait = max(
-            self.stats.max_queue_wait, self._engine.now - request.enqueued_at
+        self._post_after(
+            self._mechanical_time(request), self._start_transfer, request
         )
-        mechanical = self._mechanical_time(request)
-        self._engine.post_after(mechanical, self._start_transfer, request)
 
     def _select(self) -> DiskRequest:
         """Pick the next request per the configured queue discipline."""
@@ -260,41 +316,50 @@ class Disk:
 
     def _mechanical_time(self, request: DiskRequest) -> float:
         """Positioning time: overhead + seek + rotational latency."""
-        sequential = (
-            self._last_end_block is not None and request.block == self._last_end_block
-        )
-        if sequential:
+        block = request.block
+        if block == self._last_end_block:
             # Track-buffer / zero-latency continuation.
             self.stats.sequential_hits += 1
-            return self.params.overhead
-        target = self.cylinder_of(request.block)
+            return self._overhead
+        target = block // self._blocks_per_cylinder
+        if target > self._last_cylinder:
+            target = self._last_cylinder
         distance = abs(target - self._head_cylinder)
-        seek = 0.0
-        if distance > 0:
-            seek = self.params.seek_base + self.params.seek_factor * distance**0.5
-        rotation = self._rng.random() * self.params.rotation_period
         self._head_cylinder = target
-        return self.params.overhead + seek + rotation
+        rotation = self._rng.random() * self._rotation_period
+        if distance > 0:
+            seek = self._seek_base + self._seek_factor * distance**0.5
+            return self._overhead + seek + rotation
+        return self._overhead + rotation
 
     def _start_transfer(self, request: DiskRequest) -> None:
-        if self._bus is not None:
-            rate = min(self.params.transfer_rate, self._bus.bandwidth)
-            self._bus.transfer(request.nbytes / rate, self._finish, request)
+        bus = self._bus
+        if bus is not None:
+            rate = self._transfer_rate
+            if bus.bandwidth < rate:
+                rate = bus.bandwidth
+            bus.transfer(request.nbytes / rate, self._finish, request)
         else:
-            duration = request.nbytes / self.params.transfer_rate
-            self._engine.post_after(duration, self._finish, request)
+            self._post_after(
+                request.nbytes / self._transfer_rate, self._finish, request
+            )
 
     def _finish(self, request: DiskRequest) -> None:
-        blocks_spanned = max(1, -(-request.nbytes // self.params.block_size))
-        self._last_end_block = request.block + blocks_spanned
-        self._head_cylinder = self.cylinder_of(
-            min(self._last_end_block, self.params.blocks - 1)
-        )
+        nbytes = request.nbytes
+        # nbytes > 0 (checked on submit), so the span is at least one block.
+        end = request.block - (-nbytes // self._block_size)
+        self._last_end_block = end
+        if end >= self._blocks:
+            end = self._blocks - 1
+        head = end // self._blocks_per_cylinder
+        self._head_cylinder = head if head < self._last_cylinder else self._last_cylinder
+        stats = self.stats
         if request.kind == "read":
-            self.stats.bytes_read += request.nbytes
+            stats.bytes_read += nbytes
         else:
-            self.stats.bytes_written += request.nbytes
-        self.stats.busy_time += self._engine.now - self._service_started
+            stats.bytes_written += nbytes
+        stats.busy_time += self._engine.now - self._service_started
         self._busy = False
         request.on_done()
-        self._pump()
+        if self._queue and not self._busy:
+            self._pump()

@@ -15,7 +15,15 @@ device does not care) but their completions are parked until resume.
 
 Listeners can subscribe to thread lifecycle events (spawn, block, run,
 suspend, resume, exit) to build the execution-duty traces behind the
-paper's Figures 7 and 9.
+paper's Figures 7 and 9; a listener that needs only exits (the MS Manners
+bridge, which frees a dead thread's slot) subscribes to those alone, so
+the per-effect ``run``/``block`` events cost nothing when nobody traces.
+
+An effect the kernel rejects (an unknown disk, a negative delay, a block
+out of range, a testpoint from an unregulated thread, ...) fails the
+thread that yielded it, exactly as an exception raised by the thread body
+does: the thread ends ``FAILED``, listeners see ``exit``, and
+:meth:`Kernel.run` re-raises.
 
 For the fault-injection harness (:mod:`repro.faults`) the kernel also
 exposes crash and I/O-failure hooks: :meth:`Kernel.kill_thread` terminates
@@ -118,6 +126,13 @@ class ThreadState(enum.Enum):
     FAILED = "failed"
 
 
+# Module-level aliases: the dispatch path compares states by identity.
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_DONE = ThreadState.DONE
+_FAILED = ThreadState.FAILED
+
+
 class SimThread:
     """One simulated thread of execution."""
 
@@ -174,7 +189,7 @@ class SimThread:
     @property
     def alive(self) -> bool:
         """Whether the thread can still make progress."""
-        return self.state not in (ThreadState.DONE, ThreadState.FAILED)
+        return self.state is not _DONE and self.state is not _FAILED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimThread({self.tid}:{self.name!r}, {self.state.value})"
@@ -194,7 +209,9 @@ class Kernel:
         "_seed",
         "_threads",
         "_listeners",
+        "_exit_listeners",
         "_disk_faults",
+        "_disk_routes",
         "_handlers",
         "_post_after",
         "_network_links",
@@ -221,14 +238,20 @@ class Kernel:
         self.disks: dict[str, Disk] = {}
         self._seed = seed
         self._threads: list[SimThread] = []
+        #: Listeners of every event kind, in registration order.
         self._listeners: list[Listener] = []
+        #: Every listener, exit-only or not, in registration order: the
+        #: ``exit`` audience.
+        self._exit_listeners: list[Listener] = []
         #: Injected I/O failures still pending, per disk name.
         self._disk_faults: dict[str, int] = {}
+        #: Disk name -> (disk, its ``blocked_on`` label), built by add_disk.
+        self._disk_routes: dict[str, tuple[Disk, str]] = {}
         self._handlers: dict[type, Callable[[SimThread, Effect], None]] = {
             Delay: self._do_delay,
             UseCPU: self._do_cpu,
-            DiskRead: self._do_disk,
-            DiskWrite: self._do_disk,
+            DiskRead: self._do_disk_read,
+            DiskWrite: self._do_disk_write,
             WaitCondition: self._do_wait,
             SignalCondition: self._do_signal,
             Yield: self._do_yield,
@@ -257,6 +280,7 @@ class Kernel:
             seed=self._seed + len(self.disks) + 1,
         )
         self.disks[name] = disk
+        self._disk_routes[name] = (disk, f"disk:{name}")
         return disk
 
     def register_handler(
@@ -264,22 +288,30 @@ class Kernel:
     ) -> None:
         """Register a handler for a new effect type (extension point).
 
-        The handler must eventually call :meth:`deliver` for the thread.
+        The handler must eventually call :meth:`deliver` for the thread,
+        or raise to reject the effect, which fails the thread.
         """
         if effect_type in self._handlers:
             raise SimulationError(f"handler for {effect_type.__name__} already set")
         self._handlers[effect_type] = handler
 
-    def add_listener(self, listener: Listener) -> None:
-        """Subscribe to thread lifecycle events ``(kind, thread, now)``."""
-        self._listeners.append(listener)
+    def add_listener(self, listener: Listener, exit_only: bool = False) -> None:
+        """Subscribe to thread lifecycle events ``(kind, thread, now)``.
+
+        ``exit_only=True`` delivers only ``exit`` events.  Listeners of
+        either sort hear an exit in the order they subscribed.
+        """
+        if not exit_only:
+            self._listeners.append(listener)
+        self._exit_listeners.append(listener)
 
     def remove_listener(self, listener: Listener) -> None:
         """Unsubscribe a listener; unknown listeners are ignored."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        for audience in (self._listeners, self._exit_listeners):
+            try:
+                audience.remove(listener)
+            except ValueError:
+                pass
 
     # -- thread lifecycle ------------------------------------------------------------
     def spawn(
@@ -307,7 +339,8 @@ class Kernel:
         """Run the simulation; returns the stop time.
 
         Thread failures surface here: if any thread died of an exception,
-        it is re-raised (wrapped) rather than silently swallowed.
+        its own or a rejected effect's, it is re-raised (wrapped) rather
+        than silently swallowed.
         """
         stop = self.engine.run(until=until, max_events=max_events)
         for thread in self._threads:
@@ -372,10 +405,10 @@ class Kernel:
         except Exception:
             # A generator refusing to die is its own bug; the kill wins.
             pass
-        thread.state = ThreadState.DONE
+        thread.state = _DONE
         thread.error = error
         thread.blocked_on = None
-        if self._listeners:
+        if self._exit_listeners:
             self._notify("exit", thread)
 
     def inject_disk_fault(self, disk: str, count: int = 1) -> None:
@@ -398,7 +431,8 @@ class Kernel:
         to a suspended thread parks until resume; delivery to a dead thread
         is dropped.
         """
-        if not thread.alive:
+        state = thread.state
+        if state is _DONE or state is _FAILED:
             return
         if thread.suspended:
             thread._parked = (value, None)
@@ -413,7 +447,8 @@ class Kernel:
         delivery to a suspended thread waits for resume, delivery to a
         dead thread is dropped.
         """
-        if not thread.alive:
+        state = thread.state
+        if state is _DONE or state is _FAILED:
             return
         if thread.suspended:
             thread._parked = (None, exc)
@@ -430,10 +465,11 @@ class Kernel:
     def _advance(
         self, thread: SimThread, value: Any, exc: BaseException | None = None
     ) -> None:
-        if not thread.alive:
+        state = thread.state
+        if state is _DONE or state is _FAILED:
             return
         listeners = self._listeners
-        thread.state = ThreadState.RUNNING
+        thread.state = _RUNNING
         thread.blocked_on = None
         if listeners:
             self._notify("run", thread)
@@ -443,32 +479,48 @@ class Kernel:
             else:
                 effect = thread.body.send(value)
         except StopIteration as stop:
-            thread.state = ThreadState.DONE
+            thread.state = _DONE
             thread.result = stop.value
-            if listeners:
+            if self._exit_listeners:
                 self._notify("exit", thread)
             return
-        except Exception as exc:  # Deliberate: capture app bugs, fail loudly in run().
-            thread.state = ThreadState.FAILED
-            thread.error = exc
-            if listeners:
-                self._notify("exit", thread)
+        except Exception as error:  # Deliberate: capture app bugs, fail loudly in run().
+            self._fail(thread, error)
             return
         handler = self._handlers.get(type(effect))
         if handler is None:
-            thread.state = ThreadState.FAILED
-            thread.error = SimulationError(f"unknown effect {effect!r}")
-            if listeners:
-                self._notify("exit", thread)
+            self._fail(thread, SimulationError(f"unknown effect {effect!r}"))
             return
-        thread.state = ThreadState.BLOCKED
-        handler(thread, effect)
+        thread.state = _BLOCKED
+        try:
+            handler(thread, effect)
+        except Exception as error:  # A rejected effect fails its thread.
+            self._fail(thread, error)
+            return
         if listeners:
             self._notify("block", thread)
 
+    def _fail(self, thread: SimThread, error: BaseException) -> None:
+        """End ``thread`` as FAILED with ``error``; :meth:`run` re-raises it.
+
+        The body is closed, so its ``finally`` blocks run now rather than
+        whenever the generator is collected.
+        """
+        try:
+            thread.body.close()
+        except Exception:
+            # A generator refusing to die is its own bug; the failure wins.
+            pass
+        thread.state = _FAILED
+        thread.error = error
+        thread.blocked_on = None
+        if self._exit_listeners:
+            self._notify("exit", thread)
+
     def _notify(self, kind: str, thread: SimThread) -> None:
         now = self.engine.now
-        for listener in self._listeners:
+        audience = self._exit_listeners if kind == "exit" else self._listeners
+        for listener in audience:
             listener(kind, thread, now)
 
     # -- built-in effect handlers ---------------------------------------------------------
@@ -484,26 +536,40 @@ class Kernel:
             thread, effect.seconds, int(thread.priority), thread._on_done
         )
 
-    def _do_disk(self, thread: SimThread, effect: DiskRead | DiskWrite) -> None:
-        disk = self.disks.get(effect.disk)
-        if disk is None:
+    def _do_disk_read(self, thread: SimThread, effect: DiskRead) -> None:
+        route = self._disk_routes.get(effect.disk)
+        if route is None:
             raise SimulationError(f"no such disk {effect.disk!r}")
-        kind = "read" if isinstance(effect, DiskRead) else "write"
-        thread.blocked_on = f"disk:{effect.disk}"
-        pending_faults = self._disk_faults.get(effect.disk, 0)
-        if pending_faults > 0:
-            if pending_faults == 1:
-                del self._disk_faults[effect.disk]
-            else:
-                self._disk_faults[effect.disk] = pending_faults - 1
-            self._post_after(
-                0.0,
-                self.deliver_error,
-                thread,
-                DiskFault(f"injected {kind} failure on disk {effect.disk!r}"),
-            )
+        disk, thread.blocked_on = route
+        if self._disk_faults and self._take_disk_fault(thread, effect.disk, "read"):
             return
-        disk.submit(kind, effect.block, effect.nbytes, thread._on_done)
+        disk.submit("read", effect.block, effect.nbytes, thread._on_done)
+
+    def _do_disk_write(self, thread: SimThread, effect: DiskWrite) -> None:
+        route = self._disk_routes.get(effect.disk)
+        if route is None:
+            raise SimulationError(f"no such disk {effect.disk!r}")
+        disk, thread.blocked_on = route
+        if self._disk_faults and self._take_disk_fault(thread, effect.disk, "write"):
+            return
+        disk.submit("write", effect.block, effect.nbytes, thread._on_done)
+
+    def _take_disk_fault(self, thread: SimThread, disk: str, kind: str) -> bool:
+        """Consume one injected fault on ``disk``, if any, failing this I/O."""
+        pending_faults = self._disk_faults.get(disk, 0)
+        if pending_faults <= 0:
+            return False
+        if pending_faults == 1:
+            del self._disk_faults[disk]
+        else:
+            self._disk_faults[disk] = pending_faults - 1
+        self._post_after(
+            0.0,
+            self.deliver_error,
+            thread,
+            DiskFault(f"injected {kind} failure on disk {disk!r}"),
+        )
+        return True
 
     def _do_wait(self, thread: SimThread, effect: WaitCondition) -> None:
         thread.blocked_on = f"cond:{effect.condition.name}"

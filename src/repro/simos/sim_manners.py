@@ -121,7 +121,7 @@ class SimManners:
         self._timer: EventHandle | None = None
         kernel.register_handler(MannersTestpoint, self._on_testpoint_effect)
         kernel.register_handler(SetThreadPriority, self._on_set_priority)
-        kernel.add_listener(self._on_thread_event)
+        kernel.add_listener(self._on_thread_exit, exit_only=True)
 
     # -- registration -------------------------------------------------------------
     @property
@@ -260,10 +260,8 @@ class SimManners:
         thread.blocked_on = "manners-light"
         self._kernel.engine.post_after(0.0, self._kernel.deliver, thread, None)
 
-    def _on_thread_event(self, kind: str, thread: SimThread, now: float) -> None:
+    def _on_thread_exit(self, kind: str, thread: SimThread, now: float) -> None:
         """Release a regulated thread's slot when it exits."""
-        if kind != "exit":
-            return
         sup = self._registration.pop(thread, None)
         if sup is None:
             return

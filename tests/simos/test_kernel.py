@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import MannersConfig
+from repro.core.errors import RegulationStateError
 from repro.simos.cpu import CpuPriority
 from repro.simos.effects import (
     Condition,
@@ -17,6 +19,8 @@ from repro.simos.effects import (
 )
 from repro.simos.engine import SimulationError
 from repro.simos.kernel import Kernel, ThreadState
+from repro.simos.sim_manners import MannersTestpoint, SimManners
+from repro.simos.trace import DutyTrace
 
 
 class TestLifecycle:
@@ -293,3 +297,141 @@ class TestListeners:
         kernel = Kernel()
         with pytest.raises(SimulationError):
             kernel.register_handler(Delay, lambda t, e: None)
+
+
+class TestRejectedEffects:
+    """An effect a handler rejects fails its thread, like a body exception."""
+
+    REJECTED = {
+        "unknown disk": (lambda: DiskRead("nope", 0, 4096), SimulationError),
+        "negative delay": (lambda: Delay(-1.0), SimulationError),
+        "block out of range": (lambda: DiskRead("C", 10**9, 4096), SimulationError),
+        "zero-byte read": (lambda: DiskRead("C", 0, 0), SimulationError),
+        "zero-byte write": (lambda: DiskWrite("C", 0, 0), SimulationError),
+        "unregulated testpoint": (lambda: MannersTestpoint((1.0,)), RegulationStateError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_thread_fails_and_simulation_runs_on(self, case):
+        make_effect, error_type = self.REJECTED[case]
+        kernel = Kernel()
+        kernel.add_disk("C")
+        SimManners(kernel)
+        exits = []
+        kernel.add_listener(
+            lambda kind, thread, now: exits.append((thread.name, now)) if kind == "exit" else None
+        )
+        cleaned_up = []
+
+        def body():
+            try:
+                yield Delay(0.5)
+                yield make_effect()
+            finally:
+                cleaned_up.append(kernel.now)
+
+        def bystander():
+            yield Delay(1.0)
+            yield DiskRead("C", 0, 4096)
+
+        thread = kernel.spawn("t", body())
+        other = kernel.spawn("other", bystander())
+        with pytest.raises(SimulationError, match="thread 't' failed") as info:
+            kernel.run()
+        assert thread.state is ThreadState.FAILED
+        assert isinstance(thread.error, error_type)
+        assert info.value.__cause__ is thread.error
+        assert thread.blocked_on is None
+        assert cleaned_up == [0.5]  # the body was closed at the rejection
+        assert exits[0] == ("t", 0.5)
+        assert other.state is ThreadState.DONE
+        assert exits[1][0] == "other"
+
+    def test_regulated_thread_releases_its_slot(self):
+        kernel = Kernel()
+        kernel.add_disk("C")
+        manners = SimManners(kernel, MannersConfig(bootstrap_testpoints=3))
+        holders = []
+
+        def defrag():
+            for step in range(4):
+                yield DiskRead("C", step * 16, 65536)
+                yield MannersTestpoint((float(step),))
+            holders.append(manners.superintendent.holder)
+            yield DiskRead("C", 10**9, 4096)
+
+        def scanner():
+            for step in range(4):
+                yield DiskRead("C", 500_000 + step * 16, 65536)
+                yield MannersTestpoint((float(step),))
+
+        defragger = kernel.spawn("defrag", defrag())
+        manners.regulate(defragger)
+        scan = kernel.spawn("scan", scanner(), start_after=0.01)
+        manners.regulate(scan)
+        with pytest.raises(SimulationError):
+            kernel.run()
+        assert holders == ["defrag"]  # it held the slot when it failed
+        assert manners.superintendent.holder is None
+        assert defragger.state is ThreadState.FAILED
+        assert scan.state is ThreadState.DONE  # the slot passed on
+
+
+class TestListenerKinds:
+    def test_exit_only_and_all_kinds_in_registration_order(self):
+        kernel = Kernel()
+        heard = []
+        for name, exit_only in (("a", True), ("b", False), ("c", True), ("d", False)):
+            kernel.add_listener(
+                lambda kind, thread, now, name=name: heard.append((name, kind)),
+                exit_only=exit_only,
+            )
+
+        def body():
+            yield Delay(1.0)
+
+        kernel.spawn("t", body())
+        kernel.run()
+        assert [name for name, kind in heard if kind == "exit"] == ["a", "b", "c", "d"]
+        assert {name for name, kind in heard if kind != "exit"} == {"b", "d"}
+        assert [kind for name, kind in heard if name == "b"] == [
+            "spawn", "run", "block", "run", "exit"
+        ]
+
+    def test_exit_only_listener_hears_kills_and_can_leave(self):
+        kernel = Kernel()
+        heard = []
+
+        def listener(kind, thread, now):
+            heard.append((thread.name, kind))
+
+        kernel.add_listener(listener, exit_only=True)
+
+        def body():
+            yield Delay(5.0)
+
+        victim = kernel.spawn("victim", body())
+        kernel.engine.call_at(1.0, kernel.kill_thread, victim)
+        kernel.run()
+        assert heard == [("victim", "exit")]
+        kernel.remove_listener(listener)
+        kernel.spawn("later", body())
+        kernel.run()
+        assert heard == [("victim", "exit")]
+
+    def test_duty_trace_still_sees_run_and_block(self):
+        kernel = Kernel()
+        SimManners(kernel)  # an exit-only listener registered first
+        trace = DutyTrace(kernel, blocked_labels=("sleep",))
+
+        def body():
+            yield Delay(1.0)
+            yield UseCPU(0.5)
+            yield Delay(2.0)
+
+        thread = kernel.spawn("t", body())
+        trace.watch(thread)
+        kernel.run()
+        assert trace.series(thread) == [
+            (0.0, 1), (0.0, 0), (1.0, 1), (1.5, 0), (3.5, 1), (3.5, 0)
+        ]
