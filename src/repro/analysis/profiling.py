@@ -11,7 +11,8 @@ change with the same command line:
     repro profile defrag_idle --memory
 
 Profiling overhead inflates absolute times; the report is for *ranking*
-call sites, not for throughput numbers (use ``repro bench`` for those).
+call sites, not for throughput numbers (the repo benchmark,
+``perfbench/run.py``, measures those).
 """
 
 from __future__ import annotations

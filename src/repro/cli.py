@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands:
+Commands:
 
 * ``info`` — version, default configuration, and the derived section-6
   quantities (minimum samples, reaction time, steady-state cost).
@@ -35,23 +35,18 @@ Four commands:
   runs the fault-injected soak and exits non-zero unless every injected
   IPC fault was answered by a matching recovery action (and a kill -9'd
   daemon restored calibration bit-identically).
-* ``bench`` — the performance harness: ``bench NAME --jobs N`` runs a
-  named benchmark through the parallel trial engine, checks parallel vs
-  serial parity, and writes a machine-readable ``BENCH_<name>.json``
-  (wall time, trials/sec, speedup vs serial, events/sec); see
-  docs/performance.md.
 * ``exp`` — the declarative experiment platform: ``exp list`` names the
   registered :class:`~repro.experiments.spec.ExperimentSpec` entries
   (figures 3/5/6, the ablations, the CI smoke spec); ``exp run NAME...``
   fans each spec's workload x strategy cross product through the
   parallel trial engine and writes one ``EXP_<name>.json`` artifact with
-  per-cell samples, summary stats, and regression deltas against the
-  committed ``BENCH_*.json`` baselines (``--gate`` exits 1 on a
-  regression); ``exp report PATH`` renders a saved artifact.
+  per-cell samples, summary stats and a results digest; ``exp report
+  PATH`` renders a saved artifact.
 * ``profile`` — find the hot spots: ``profile SCENARIO --seed N`` runs
   one seeded trial under cProfile (``--memory`` adds tracemalloc) and
   prints top-N tables keyed to the exact scenario/mode/seed/scale so a
-  hot spot can be re-measured after a change; see docs/performance.md.
+  hot spot can be re-measured after a change.  Speed itself is measured
+  by the repo benchmark, ``perfbench/run.py``; see docs/performance.md.
 * ``verify`` — the conformance suite: ``verify run --seeds N`` sweeps
   every differential oracle and invariant drive over N seeds (exit 1 on
   any mismatch or violation); ``verify lint [PATHS]`` runs the
@@ -513,79 +508,6 @@ def _cmd_daemon(args: argparse.Namespace, out: Output) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
-def _cmd_bench(args: argparse.Namespace, out: Output) -> int:
-    from repro.analysis.bench import (
-        BENCHMARKS,
-        MICROBENCHMARKS,
-        run_benchmark,
-        write_report,
-    )
-
-    if args.list or args.name is None:
-        for name, spec in sorted(BENCHMARKS.items()):
-            out.result(f"  {name:<18} {spec.summary}")
-        for name, (_factory, summary) in sorted(MICROBENCHMARKS.items()):
-            out.result(f"  {name:<18} {summary}")
-        if args.name is None and not args.list:
-            out.error("name a benchmark to run it (see the list above)")
-            return 2
-        return 0
-    micro_args: dict = {}
-    if args.churn is not None:
-        micro_args["rounds"], micro_args["burst"] = args.churn
-    try:
-        report = run_benchmark(
-            args.name,
-            jobs=args.jobs,
-            trials=args.trials,
-            scale=args.scale,
-            use_cache=not args.no_cache,
-            micro_args=micro_args or None,
-        )
-    except (TypeError, ValueError) as exc:
-        out.error(str(exc))
-        return 2
-    path = write_report(report, args.out)
-    if report.get("kind") == "micro":
-        if report["name"] == "engine_wheel":
-            out.result(
-                f"{report['name']}: {report['events_per_sec']:,} events/s (wheel), "
-                f"{report['heap_events_per_sec']:,} events/s (heap), "
-                f"{report['speedup_vs_heap']:.2f}x on "
-                f"{report['chains']}x{report['hops']} dense chains"
-            )
-        elif report["name"] == "engine_sparse":
-            out.result(
-                f"{report['name']}: {report['events_per_sec']:,} events/s (wheel), "
-                f"{report['heap_events_per_sec']:,} events/s (heap), "
-                f"{report['vs_heap']:.2f}x on {report['chains']} sparse "
-                f"chain(s) of {report['hops']} hops"
-            )
-        else:
-            out.result(
-                f"{report['name']}: {report['events_per_sec']:,} events/s "
-                f"(heap post chain) vs {report['wheel_post_events_per_sec']:,} "
-                f"(wheel), {report['churn_ops_per_sec']:,} schedules/s "
-                f"(cancel churn) vs {report['wheel_churn_ops_per_sec']:,} (wheel)"
-            )
-        out.say(f"  report -> {path}")
-        return 0
-    out.result(
-        f"{report['name']}: {report['trials']} trials @ jobs={report['jobs']} "
-        f"in {report['wall_time_s']:.2f}s "
-        f"({report['trials_per_sec']:.2f} trials/s, "
-        f"{report['events_per_sec']:,} events/s)"
-    )
-    if report["speedup_vs_serial"] is not None:
-        out.result(
-            f"  serial reference {report['serial_wall_time_s']:.2f}s -> "
-            f"speedup {report['speedup_vs_serial']:.2f}x, "
-            f"parity {'ok' if report['parity_ok'] else 'FAILED'}"
-        )
-    out.say(f"  report -> {path}")
-    return 0 if report["parity_ok"] is not False else 1
-
-
 def _render_experiment(report: dict, out: Output) -> None:
     """Human-readable summary of one experiment report."""
     out.result(
@@ -604,33 +526,11 @@ def _render_experiment(report: dict, out: Output) -> None:
             if stats is not None:
                 parts.append(f"{metric} median {stats['median']:.4g}")
         out.result(f"    {cell['label'] or '-':<28} {'  '.join(parts)}")
-    gate = report.get("baseline_gate")
-    if gate is not None:
-        if gate.get("missing"):
-            out.result(
-                f"  baseline {gate['name']}: missing (no committed "
-                f"BENCH_{gate['name']}.json) — deltas unavailable"
-            )
-        else:
-            deltas = gate["deltas"]
-            bits = [
-                f"{key} {deltas[key]:+.1%}"
-                for key in ("events_per_sec", "wall_time_s")
-                if key in deltas
-            ]
-            verdict = "ok" if not gate["failures"] else "REGRESSED"
-            out.result(
-                f"  baseline {gate['name']}: {', '.join(bits) or 'no comparable keys'}"
-                f" — {verdict}"
-            )
-            for failure in gate["failures"]:
-                out.result(f"    {failure}")
 
 
 def _cmd_exp(args: argparse.Namespace, out: Output) -> int:
     from repro.experiments.spec import (
         EXPERIMENTS,
-        baseline_deltas,
         get_experiment,
         load_experiment_report,
         run_experiments,
@@ -646,7 +546,6 @@ def _cmd_exp(args: argparse.Namespace, out: Output) -> int:
             out.result(
                 f"  {'':<22} scenario={spec.scenario} cells={spec.cell_count} "
                 f"({grid}) seeds={spec.seeds}"
-                + (f" baseline={spec.baseline}" if spec.baseline else "")
             )
         return 0
 
@@ -656,13 +555,13 @@ def _cmd_exp(args: argparse.Namespace, out: Output) -> int:
         except FileNotFoundError:
             out.error(f"no such report file: {args.path}")
             return 2
-        except json.JSONDecodeError as exc:
-            out.error(f"{args.path}: not a valid experiment report: {exc}")
+        except ValueError as exc:
+            out.error(f"{args.path}: not an experiment report: {exc}")
             return 2
         reports = (
             [payload]
             if payload.get("kind") == "experiment"
-            else payload.get("experiments", [])
+            else payload["experiments"]
         )
         for report in reports:
             _render_experiment(report, out)
@@ -688,13 +587,6 @@ def _cmd_exp(args: argparse.Namespace, out: Output) -> int:
         except ValueError as exc:
             out.error(str(exc))
             return 2
-        regressed = False
-        for report in reports:
-            gate = baseline_deltas(report, baseline_dir=args.baseline_dir)
-            if gate is not None:
-                report["baseline_gate"] = gate
-                if gate["failures"]:
-                    regressed = True
         payload: dict = (
             reports[0]
             if len(reports) == 1
@@ -707,9 +599,6 @@ def _cmd_exp(args: argparse.Namespace, out: Output) -> int:
             for report in reports:
                 _render_experiment(report, out)
         out.say(f"  report -> {path}")
-        if regressed and args.gate:
-            out.error("baseline regression gate failed (see failures above)")
-            return 1
         return 0
     return 2  # pragma: no cover - argparse enforces the choices
 
@@ -1033,40 +922,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="print the full report as JSON"
     )
 
-    bench = sub.add_parser(
-        "bench", help="run a named benchmark with the parallel trial engine"
-    )
-    bench.add_argument(
-        "name", nargs="?", default=None, help="benchmark name (see --list)"
-    )
-    bench.add_argument(
-        "--list", action="store_true", help="list the available benchmarks"
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default: REPRO_JOBS or all cores)",
-    )
-    bench.add_argument(
-        "--trials", type=int, default=None,
-        help="trials to run (default: REPRO_TRIALS or 15)",
-    )
-    bench.add_argument(
-        "--scale", type=float, default=None,
-        help="workload scale (default: the benchmark's own)",
-    )
-    bench.add_argument(
-        "--no-cache", action="store_true",
-        help="do not store results into the trial cache",
-    )
-    bench.add_argument(
-        "--churn", type=int, nargs=2, metavar=("ROUNDS", "BURST"), default=None,
-        help="engine_hotpath only: cancel-churn rounds and burst size",
-    )
-    bench.add_argument(
-        "--out", default="benchmarks/results",
-        help="directory for BENCH_<name>.json (default benchmarks/results)",
-    )
-
     exp = sub.add_parser(
         "exp", help="list/run/report declarative experiment specs"
     )
@@ -1101,14 +956,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory for EXP_<name>.json (default benchmarks/results)",
     )
     exp_run.add_argument(
-        "--baseline-dir", dest="baseline_dir", default="benchmarks/results",
-        help="directory holding the committed BENCH_*.json baselines",
-    )
-    exp_run.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 when a baseline comparison reports a regression",
-    )
-    exp_run.add_argument(
         "--json", action="store_true", help="print the full report as JSON"
     )
     exp_report = exp_sub.add_parser(
@@ -1131,7 +978,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     profile.add_argument(
         "--scale", type=float, default=0.05,
-        help="workload scale (default 0.05, the bench scale)",
+        help="workload scale (default 0.05)",
     )
     profile.add_argument(
         "--top", type=int, default=25,
@@ -1216,8 +1063,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_faults(args, out)
     if args.command == "daemon":
         return _cmd_daemon(args, out)
-    if args.command == "bench":
-        return _cmd_bench(args, out)
     if args.command == "exp":
         return _cmd_exp(args, out)
     if args.command == "profile":

@@ -101,7 +101,8 @@ class StatisticalComparator:
         if tel is None:
             # Disabled-telemetry hot path: add_sample is table-driven
             # (precomputed thresholds, no binomial walks) and allocates
-            # nothing — guarded by bench_engine_hotpath.
+            # nothing — the tables are checked against the threshold
+            # functions by tests/core/test_signtest.py.
             return self._test.add_sample(below)
         test = self._test
         if test.sample_count == 0:

@@ -30,7 +30,6 @@ from repro.experiments.spec import (
     EXPERIMENTS,
     SCENARIOS,
     ExperimentSpec,
-    baseline_deltas,
     cell_seed_base,
     enumerate_cells,
     get_experiment,
@@ -52,7 +51,6 @@ __all__ = [
     "IsolationResult",
     "TrialResult",
     "backoff_ablation_trial",
-    "baseline_deltas",
     "calibration_trial",
     "cell_seed_base",
     "comparator_ablation_trial",

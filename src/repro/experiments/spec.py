@@ -5,9 +5,9 @@ wired its own sweep loops, seeds, caching, and report text.  This module
 replaces that with a declarative registry in the style of the mplc
 Experiment/Scenario framework: an :class:`ExperimentSpec` *names* a
 scenario, its crossed independent variables (workload x strategy x seed x
-scale), the metrics to collect, and the committed baseline to diff
-against; :func:`run_experiment` fans the full cross product out through
-the existing :class:`~repro.analysis.parallel.ParallelRunner` and
+scale) and the metrics to collect; :func:`run_experiment` fans the full
+cross product out through the existing
+:class:`~repro.analysis.parallel.ParallelRunner` and
 :class:`~repro.analysis.parallel.TrialCache` and returns one JSON-safe
 report.  A new scenario or strategy comparison is ~20 lines of spec, not
 a new benchmark file.
@@ -27,11 +27,9 @@ Determinism contract (the same one ``run_trials`` honours):
   report's ``results_digest`` is bit-identical between serial and
   parallel runs (CI asserts this on the ``smoke`` spec).
 
-Reports carry per-cell samples, summary stats, and — when the spec names
-a ``baseline`` — regression deltas against the committed
-``benchmarks/results/BENCH_<baseline>.json`` via
-:func:`repro.analysis.bench.compare_reports`, in the spirit of
-MobileUPReg's user-perceived-regression reports.
+Reports carry per-cell samples, summary stats and the results digest.
+They carry no timing verdict: speed is judged by the repo benchmark
+(``perfbench/``) on paired runs, never against a committed number.
 """
 
 from __future__ import annotations
@@ -72,15 +70,10 @@ __all__ = [
     "run_experiment",
     "run_experiments",
     "samples_by_cell",
-    "baseline_deltas",
     "write_experiment_report",
     "load_experiment_report",
     "spec_cell_trial",
 ]
-
-#: Default location of the committed ``BENCH_*.json`` baselines.
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "results"
-
 
 # ---------------------------------------------------------------------------
 # Scenario registry: name -> trial(seed, scale=..., **cell params) -> dict
@@ -175,8 +168,6 @@ class ExperimentSpec:
     #: Seed derivation: ``"paired"`` (every cell sees the same seed
     #: sequence) or ``"derived"`` (per-cell digest-derived seed bases).
     seeds: str = "paired"
-    #: Name of the committed ``BENCH_<baseline>.json`` to diff against.
-    baseline: str | None = None
     #: One-line description for ``repro exp list``.
     summary: str = ""
 
@@ -460,10 +451,8 @@ def run_experiment(
         "trials_executed": total_trials - cached,
         "wall_time_s": round(wall, 4),
         "events_total": events_total,
-        "events_per_sec": round(events_total / wall) if wall > 0 else None,
         "results_digest": _results_digest(cell_reports),
         "code_fingerprint": code_fingerprint(),
-        "baseline": spec.baseline,
     }
 
 
@@ -502,53 +491,6 @@ def samples_by_cell(report: dict, metric: str) -> dict[str, list]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline regression deltas
-# ---------------------------------------------------------------------------
-
-def baseline_deltas(
-    report: dict,
-    baseline_dir: str | Path = DEFAULT_BASELINE_DIR,
-    tolerance: float = 0.20,
-) -> dict | None:
-    """Regression deltas vs the committed ``BENCH_<baseline>.json``.
-
-    Returns ``None`` when the spec names no baseline.  Otherwise the
-    fresh report's throughput/wall-time are diffed against the committed
-    baseline through :func:`repro.analysis.bench.compare_reports` — the
-    same gate CI applies to ``repro bench`` — plus signed fractional
-    deltas for the report artifact.  A missing baseline file is reported,
-    not raised: the artifact still carries the fresh numbers.
-    """
-    name = report.get("baseline")
-    if not name:
-        return None
-    from repro.analysis.bench import compare_reports, load_report
-
-    try:
-        baseline = load_report(name, baseline_dir)
-    except (OSError, json.JSONDecodeError):
-        return {"name": name, "missing": True, "deltas": {}, "failures": []}
-
-    deltas: dict[str, float] = {}
-    for key, better in (("events_per_sec", "higher"), ("wall_time_s", "lower")):
-        base = baseline.get(key)
-        fresh = report.get(key)
-        if base and fresh is not None:
-            delta = fresh / base - 1.0
-            deltas[key] = round(delta, 4)
-            regressed = delta < 0 if better == "higher" else delta > 0
-            deltas[f"{key}_regressed"] = bool(
-                regressed and abs(delta) > tolerance
-            )
-    return {
-        "name": name,
-        "missing": False,
-        "deltas": deltas,
-        "failures": compare_reports(baseline, report, tolerance=tolerance),
-    }
-
-
-# ---------------------------------------------------------------------------
 # Report artifact
 # ---------------------------------------------------------------------------
 
@@ -569,9 +511,47 @@ def write_experiment_report(payload: dict, out_dir: str | Path) -> Path:
     return path
 
 
+#: Keys of a :func:`run_experiment` report that ``repro exp report`` reads.
+_REPORT_KEYS = frozenset({
+    "name", "scenario", "metrics", "seed_base", "seeds", "trials", "scale",
+    "jobs", "cells", "cell_count", "trials_cached", "trials_executed",
+    "wall_time_s", "results_digest",
+})
+
+
+def _check_experiment(report: Any) -> None:
+    """Raise ``ValueError`` unless ``report`` is one experiment's report."""
+    if not isinstance(report, dict):
+        raise ValueError(f"expected a JSON object, got {type(report).__name__}")
+    if report.get("kind") != "experiment":
+        raise ValueError(f"kind is {report.get('kind')!r}, not 'experiment'")
+    missing = _REPORT_KEYS - report.keys()
+    if missing:
+        raise ValueError(f"missing {', '.join(sorted(missing))}")
+    cells = report["cells"]
+    if not isinstance(cells, list) or not all(
+        isinstance(cell, dict) and {"label", "stats"} <= cell.keys()
+        for cell in cells
+    ):
+        raise ValueError("cells is not a list of cell reports")
+
+
 def load_experiment_report(path: str | Path) -> dict:
-    """Load a report artifact written by :func:`write_experiment_report`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a report artifact written by :func:`write_experiment_report`.
+
+    Raises ``ValueError`` when the file is not one: invalid JSON
+    (``json.JSONDecodeError``), or JSON of another shape.
+    """
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if isinstance(payload, dict) and payload.get("kind") == "experiment-report":
+        experiments = payload.get("experiments")
+        if not isinstance(experiments, list) or not experiments:
+            raise ValueError("experiments is not a non-empty list")
+        for report in experiments:
+            _check_experiment(report)
+    else:
+        _check_experiment(payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +571,6 @@ register(ExperimentSpec(
     variables={"mode": ("not running",) + _CONTENTION_MODES},
     metrics=("hi_time", "li_time", "events_fired"),
     seed_base=1000,
-    baseline="defrag_database",
     summary="Figure 3: database run time under five defragmenter regimes",
 ))
 
@@ -612,7 +591,6 @@ register(ExperimentSpec(
     variables={"mode": _CONTENTION_MODES},
     metrics=("li_time", "events_fired"),
     seed_base=3000,
-    baseline="defrag_idle",
     summary="Figure 5: defragment time on an otherwise-idle system",
 ))
 
@@ -679,6 +657,5 @@ register(ExperimentSpec(
     seed_base=3000,
     default_trials=3,
     scale=0.05,
-    baseline="defrag_idle",
-    summary="CI smoke: two-mode idle sweep at bench scale (digest parity)",
+    summary="CI smoke: two-mode idle sweep at scale 0.05 (digest parity)",
 ))

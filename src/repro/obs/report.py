@@ -52,7 +52,9 @@ _MAX_TIMELINE_ROWS = 60
 def read_events(path: str | os.PathLike[str]) -> list[Event]:
     """Parse a JSONL trace file into typed events (order preserved).
 
-    Raises :class:`~repro.core.errors.MannersError` on malformed input; a
+    Raises :class:`~repro.core.errors.MannersError` naming
+    ``<path>:<line>`` on malformed input: a line that is not JSON, not a
+    JSON object, or not a well-formed event of a known kind.  A
     JSON error on the *final* line is reported as a likely-truncated file
     (a crashed writer leaves a partial last record), so the CLI can give
     an actionable message instead of a bare parse error.
@@ -77,7 +79,17 @@ def read_events(path: str | os.PathLike[str]) -> list[Event]:
             raise MannersError(
                 f"{path}:{line_number}: not valid JSON: {exc}"
             ) from exc
-        events.append(event_from_dict(data))
+        if not isinstance(data, dict):
+            raise MannersError(
+                f"{path}:{line_number}: expected a JSON object, got "
+                f"{type(data).__name__}"
+            )
+        try:
+            events.append(event_from_dict(data))
+        except (MannersError, TypeError, ValueError) as exc:
+            raise MannersError(
+                f"{path}:{line_number}: not a telemetry event: {exc}"
+            ) from exc
     return events
 
 

@@ -91,3 +91,28 @@ class TestFileRoundTrip:
         path.write_text('{"k": "judgment", "v": 1, "t": 0.0}\nnot json\n')
         with pytest.raises(MannersError, match=":2:"):
             read_events(path)
+
+    @pytest.mark.parametrize(
+        "record",
+        ['"just a string"', "[1, 2]", '{"v": 1, "k": "anomaly"}'],
+        ids=["string", "list", "anomaly-without-fields"],
+    )
+    def test_wrong_shaped_record_reports_location(self, tmp_path, record):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"k": "judgment", "v": 1, "t": 0.0}\n' + record + "\n")
+        with pytest.raises(MannersError, match=":2:"):
+            read_events(path)
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [(["summarize"], 2), (["export"], 2), (["explain", "w1"], 1)],
+        ids=["summarize", "export", "explain"],
+    )
+    def test_cli_reports_wrong_shaped_record(self, tmp_path, capsys, command, code):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        path.write_text('[1, 2]\n{"v": 1, "k": "anomaly"}\n')
+        argv = ["obs", command[0], str(path), *command[1:]]
+        assert main(argv) == code
+        assert f"error: {path}:1:" in capsys.readouterr().err

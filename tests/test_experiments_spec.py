@@ -5,7 +5,7 @@ spec, per-cell seeds are independent of enumeration order under
 ``seeds="derived"``, serial and parallel runs produce bit-identical
 report digests, and the trial cache round-trips a spec run (a warm second
 run executes zero trials).  Plus spec-resolution precedence, registry
-validation, the baseline-delta helper, and the report artifact format.
+validation, and the report artifact format.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.experiments.spec import (
     EXPERIMENTS,
     SCENARIOS,
     ExperimentSpec,
-    baseline_deltas,
     cell_seed_base,
     enumerate_cells,
     get_experiment,
@@ -308,34 +307,6 @@ class TestRunExperiment:
 
 
 class TestBaselineAndArtifact:
-    def test_no_baseline_returns_none(self):
-        report = run_experiment(TINY)
-        assert baseline_deltas(report) is None
-
-    def test_missing_baseline_reported_not_raised(self, tmp_path):
-        report = run_experiment(TINY)
-        report["baseline"] = "defrag_idle"
-        gate = baseline_deltas(report, baseline_dir=tmp_path)
-        assert gate["missing"] is True
-        assert gate["failures"] == []
-
-    def test_deltas_against_committed_style_baseline(self, tmp_path):
-        report = run_experiment(TINY)
-        report["baseline"] = "defrag_idle"
-        baseline = {
-            "name": "defrag_idle",
-            "events_per_sec": report["events_per_sec"] * 2,
-            "wall_time_s": report["wall_time_s"],
-            "trials": report["trials"],
-        }
-        path = tmp_path / "BENCH_defrag_idle.json"
-        path.write_text(json.dumps(baseline), encoding="utf-8")
-        gate = baseline_deltas(report, baseline_dir=tmp_path)
-        assert gate["missing"] is False
-        assert gate["deltas"]["events_per_sec"] == pytest.approx(-0.5, abs=0.01)
-        assert gate["deltas"]["events_per_sec_regressed"] is True
-        assert gate["failures"], "a 2x throughput drop must fail the gate"
-
     def test_artifact_round_trip(self, tmp_path):
         report = run_experiment(TINY)
         path = write_experiment_report(report, tmp_path)
