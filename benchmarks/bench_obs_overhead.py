@@ -38,14 +38,10 @@ import time
 
 from repro.apps.base import RegulationMode
 from repro.experiments.scenarios import defrag_database_trial
-from repro.obs import (
-    JsonlSink,
-    MemorySink,
-    MetricsRegistry,
-    NullSink,
-    Telemetry,
-    Tracer,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import JsonlSink, MemorySink, NullSink
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace2 import Tracer
 
 from _util import bench_scale
 

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import random
 
-from repro.apps import Defragmenter, DiskHog
-from repro.benice import BeNice
-from repro.core import MannersConfig
-from repro.simos import Kernel, PerfCounterRegistry, Volume, populate_volume
+from repro.apps.defragmenter import Defragmenter
+from repro.apps.dummyload import DiskHog
+from repro.benice.benice import BeNice
+from repro.core.config import MannersConfig
+from repro.simos.filesystem import Volume, populate_volume
+from repro.simos.kernel import Kernel
+from repro.simos.perfcounters import PerfCounterRegistry
 from repro.simos.workload import Burst
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments import calibration_trial
+from repro.experiments.scenarios import calibration_trial
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 
 from repro.apps.base import RegulationMode
-from repro.experiments import defrag_database_trial
+from repro.experiments.scenarios import defrag_database_trial
 
 PAPER = {
     RegulationMode.NOT_RUNNING: (300.0, "the control"),

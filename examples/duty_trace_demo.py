@@ -19,7 +19,7 @@ import argparse
 
 from repro.analysis.ascii_plot import timeseries_plot
 from repro.apps.base import RegulationMode
-from repro.experiments import defrag_database_trial
+from repro.experiments.scenarios import defrag_database_trial
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 
 from repro.apps.base import RegulationMode
-from repro.experiments import groveler_setup_trial
+from repro.experiments.scenarios import groveler_setup_trial
 
 PAPER = {
     RegulationMode.NOT_RUNNING: (250.0, "the control"),

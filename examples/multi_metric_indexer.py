@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import random
 
-from repro.apps import ContentIndexer, DiskHog
-from repro.core import MannersConfig
-from repro.simos import Kernel, SimManners, Volume, populate_volume
+from repro.apps.dummyload import DiskHog
+from repro.apps.indexer import ContentIndexer
+from repro.core.config import MannersConfig
+from repro.simos.filesystem import Volume, populate_volume
+from repro.simos.kernel import Kernel
+from repro.simos.sim_manners import SimManners
 from repro.simos.workload import Burst
 
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import threading
 import time
 
-from repro import Manners, MannersConfig
+from repro.core.config import MannersConfig
+from repro.core.library import Manners
 
 
 class Bottleneck:

@@ -26,8 +26,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import MannersConfig
-from repro.realtime import JsonFileCounters, PosixBeNice
+from repro.core.config import MannersConfig
+from repro.realtime.posix_benice import JsonFileCounters, PosixBeNice
 
 WORKER = r"""
 import json, os, sys, time

@@ -33,31 +33,20 @@ Quick start::
             time.sleep(pause)
 """
 
-from repro.core import (
-    DEFAULT_CONFIG,
-    Judgment,
-    Manners,
-    MannersConfig,
-    MannersError,
-    Superintendent,
-    Supervisor,
-    TargetStore,
-    TestpointDecision,
-    ThreadRegulator,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_CONFIG",
-    "Judgment",
-    "Manners",
-    "MannersConfig",
-    "MannersError",
-    "Superintendent",
-    "Supervisor",
-    "TargetStore",
-    "TestpointDecision",
-    "ThreadRegulator",
-    "__version__",
-]
+__all__ = ["Manners", "__version__"]
+
+
+def __getattr__(name: str):
+    """Resolve ``Manners`` on first use (PEP 562).
+
+    Every ``repro.*`` import runs this module, so an eager import would load
+    the regulator into processes that never regulate, such as the daemon's
+    workers.
+    """
+    if name == "Manners":
+        from repro.core.library import Manners
+
+        return Manners
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -153,7 +153,8 @@ def _execute_trial(
     """
     if not with_telemetry:
         return TrialEnvelope(index=index, seed=seed, value=trial(seed))
-    from repro.obs import MetricsRegistry, Telemetry
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry(metrics=MetricsRegistry())
     value = trial(seed, telemetry=telemetry)
@@ -295,7 +296,7 @@ class ParallelRunner:
             results[envelope.index] = envelope.value
             if with_telemetry:
                 for name, total in envelope.counters.items():
-                    telemetry.metrics.inc(name, total)
+                    telemetry.metrics.counter(name).inc(total)
             if use_cache:
                 self.cache.put(cache_name, keys[envelope.index], envelope.value)
         return results

@@ -23,39 +23,3 @@ Synthetic loads: :class:`~repro.apps.dummyload.DiskHog` and
 :class:`~repro.apps.dummyload.CpuHog` replay busy/idle schedules for the
 isolation and calibration experiments.
 """
-
-from repro.apps.archiver import Archiver, ArchiverStats
-from repro.apps.backup import BackupAgent, BackupStats
-from repro.apps.base import AppResult, RegulationMode
-from repro.apps.compressor import Compressor, CompressorStats
-from repro.apps.database import DatabaseServer, LoadWorkload
-from repro.apps.defragmenter import Defragmenter
-from repro.apps.dummyload import CpuHog, DiskHog
-from repro.apps.groveler import Groveler, GrovelerStats
-from repro.apps.indexer import ContentIndexer, IndexerStats
-from repro.apps.installer import Installer, InstallWorkload
-from repro.apps.scanner import ScannerStats, VirusScanner
-
-__all__ = [
-    "AppResult",
-    "Archiver",
-    "ArchiverStats",
-    "BackupAgent",
-    "BackupStats",
-    "Compressor",
-    "CompressorStats",
-    "ContentIndexer",
-    "CpuHog",
-    "DatabaseServer",
-    "Defragmenter",
-    "DiskHog",
-    "Groveler",
-    "GrovelerStats",
-    "IndexerStats",
-    "InstallWorkload",
-    "Installer",
-    "LoadWorkload",
-    "RegulationMode",
-    "ScannerStats",
-    "VirusScanner",
-]

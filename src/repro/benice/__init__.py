@@ -6,7 +6,6 @@ regulation engine, and enforces suspensions through the OS debug
 interface — no modification of the target required.
 """
 
-from repro.benice.benice import BeNice, BeNiceStats
-from repro.benice.polling import AdaptivePoller
+from repro.benice.benice import BeNice
 
-__all__ = ["AdaptivePoller", "BeNice", "BeNiceStats"]
+__all__ = ["BeNice"]

@@ -134,10 +134,10 @@ class BeNice:
             decision = self.regulator.on_testpoint(self._kernel.now, 0, values)
             tel = self._telemetry
             if tel is not None:
-                tel.metrics.inc("benice_polls")
+                tel.metrics.counters.benice_polls.inc()
                 if not changed:
-                    tel.metrics.inc("benice_idle_polls")
-                tel.metrics.gauge("benice_poll_interval").set(self._poller.interval)
+                    tel.metrics.counters.benice_idle_polls.inc()
+                tel.metrics.gauges.benice_poll_interval.set(self._poller.interval)
                 tel.emit(
                     obs_events.BeNicePoll(
                         t=self._kernel.now,

@@ -69,7 +69,6 @@ from pathlib import Path
 
 from repro import __version__
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
-from repro.core.queueing import reaction_time, suspended_fraction
 
 __all__ = ["Output", "main"]
 
@@ -109,7 +108,10 @@ def _make_telemetry(trace_out: str | None, metrics_out: str | None):
     if trace_out is None and metrics_out is None:
         return None, lambda out: None
 
-    from repro.obs import JsonlSink, MetricsRegistry, Telemetry, Tracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.sinks import JsonlSink
+    from repro.obs.telemetry import Telemetry
+    from repro.obs.trace2 import Tracer
 
     sink = JsonlSink(trace_out) if trace_out is not None else None
     tracer = Tracer() if trace_out is not None else None
@@ -129,6 +131,8 @@ def _make_telemetry(trace_out: str | None, metrics_out: str | None):
 
 
 def _cmd_info(args: argparse.Namespace, out: Output) -> int:
+    from repro.core.queueing import reaction_time, suspended_fraction
+
     config = DEFAULT_CONFIG
     out.result(f"repro {__version__} — MS Manners (Douceur & Bolosky, SOSP'99)")
     out.result()
@@ -214,7 +218,7 @@ def _cmd_benice(args: argparse.Namespace, out: Output) -> int:
 
 def _cmd_figures(args: argparse.Namespace, out: Output) -> int:
     from repro.apps.base import RegulationMode
-    from repro.experiments import (
+    from repro.experiments.scenarios import (
         calibration_trial,
         defrag_database_trial,
         thread_isolation_trial,
@@ -280,7 +284,7 @@ def _cmd_figures(args: argparse.Namespace, out: Output) -> int:
 
 def _cmd_faults(args: argparse.Namespace, out: Output) -> int:
     from repro.core.errors import FaultError
-    from repro.faults import SCENARIOS, run_scenario
+    from repro.faults.scenarios import SCENARIOS, run_scenario
 
     if args.faults_command == "list":
         for name, fn in sorted(SCENARIOS.items()):
@@ -293,11 +297,11 @@ def _cmd_faults(args: argparse.Namespace, out: Output) -> int:
         recorder = None
         sinks = []
         if args.trace_out is not None:
-            from repro.obs import JsonlSink
+            from repro.obs.sinks import JsonlSink
 
             sinks.append(JsonlSink(args.trace_out))
         if args.flightrec is not None:
-            from repro.obs import FlightRecorder
+            from repro.obs.flightrec import FlightRecorder
 
             recorder = FlightRecorder(
                 capacity=args.flightrec_capacity, dump_dir=args.flightrec
@@ -306,7 +310,7 @@ def _cmd_faults(args: argparse.Namespace, out: Output) -> int:
         if len(sinks) == 1:
             extra_sink = sinks[0]
         elif sinks:
-            from repro.obs import FanoutSink
+            from repro.obs.sinks import FanoutSink
 
             extra_sink = FanoutSink(*sinks)
         try:
@@ -320,7 +324,11 @@ def _cmd_faults(args: argparse.Namespace, out: Output) -> int:
         # Determinism gate: same seed must reproduce the recorded trace
         # fingerprint exactly; drift is a failure even when every scenario
         # check passed.
-        from repro.faults import fingerprint_key, record_fingerprints, recorded_fingerprint
+        from repro.faults.scenarios import (
+            fingerprint_key,
+            record_fingerprints,
+            recorded_fingerprint,
+        )
 
         recorded = recorded_fingerprint(report.name, report.seed)
         if args.record_fingerprints:
@@ -394,11 +402,12 @@ def _cmd_daemon(args: argparse.Namespace, out: Output) -> int:
         telemetry = None
         sinks = []
         if args.trace_out is not None:
-            from repro.obs import JsonlSink
+            from repro.obs.sinks import JsonlSink
 
             sinks.append(JsonlSink(args.trace_out))
         if args.flightrec is not None:
-            from repro.obs import FlightRecorder, Telemetry
+            from repro.obs.flightrec import FlightRecorder
+            from repro.obs.telemetry import Telemetry
 
             recorder = FlightRecorder(capacity=1024, dump_dir=args.flightrec)
             telemetry = Telemetry(
@@ -407,7 +416,7 @@ def _cmd_daemon(args: argparse.Namespace, out: Output) -> int:
                 flight_recorder=recorder,
             )
         elif sinks:
-            from repro.obs import Telemetry
+            from repro.obs.telemetry import Telemetry
 
             telemetry = Telemetry(sink=sinks[0], label="daemon")
         daemon = RegulatorDaemon(
@@ -740,8 +749,22 @@ def _cmd_obs(args: argparse.Namespace, out: Output) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
+def _checked(check, source: str):
+    """argparse ``type`` running ``check(raw, source)``; a ValueError is a usage error."""
+
+    def parse(raw: str):
+        try:
+            return check(raw, source)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from repro.analysis.env import check_scale, parse_count
+
     parser = argparse.ArgumentParser(
         prog="repro", description="MS Manners reproduction toolkit"
     )
@@ -782,8 +805,8 @@ def main(argv: list[str] | None = None) -> int:
 
     figures = sub.add_parser("figures", help="regenerate trace-figure data (TSV)")
     figures.add_argument("--out", default="figures", help="output directory")
-    figures.add_argument("--scale", type=float, default=0.3)
-    figures.add_argument("--hours", type=float, default=4.0)
+    figures.add_argument("--scale", type=_checked(check_scale, "scale"), default=0.3)
+    figures.add_argument("--hours", type=_checked(check_scale, "hours"), default=4.0)
     figures.add_argument(
         "--trace-out", dest="trace_out", default=None,
         help="write the fig6/7/8 run's telemetry event trace to this JSONL file",
@@ -907,7 +930,8 @@ def main(argv: list[str] | None = None) -> int:
         "(ipc-chaos, peer-hang, worker-crash, daemon-crash)",
     )
     soak.add_argument(
-        "--seeds", type=int, default=3, help="sweep seeds 1..N (default 3)"
+        "--seeds", type=_checked(parse_count, "seeds"), default=3,
+        help="sweep seeds 1..N (default 3)",
     )
     soak.add_argument(
         "--duration", type=float, default=60.0,
@@ -977,7 +1001,7 @@ def main(argv: list[str] | None = None) -> int:
         "--seed", type=int, default=1000, help="trial seed (default 1000)"
     )
     profile.add_argument(
-        "--scale", type=float, default=0.05,
+        "--scale", type=_checked(check_scale, "scale"), default=0.05,
         help="workload scale (default 0.05)",
     )
     profile.add_argument(
@@ -1001,7 +1025,7 @@ def main(argv: list[str] | None = None) -> int:
         "run", help="sweep every oracle and invariant drive over seeds"
     )
     verify_run.add_argument(
-        "--seeds", type=int, default=3,
+        "--seeds", type=_checked(parse_count, "seeds"), default=3,
         help="number of seeds to sweep, 1..N (default 3)",
     )
     verify_run.add_argument(

@@ -15,73 +15,3 @@ substrate-independent feedback logic.  The main entry points are:
 
 See DESIGN.md for the component-by-component mapping to the paper.
 """
-
-from repro.core.averaging import ExponentialAverager, decay_from_window, window_from_decay
-from repro.core.calibration import Calibrator, SingleMetricCalibrator, make_calibrator
-from repro.core.clock import Clock, ManualClock, MonotonicClock
-from repro.core.comparator import DirectComparator, RateComparator, StatisticalComparator
-from repro.core.config import DEFAULT_CONFIG, MannersConfig
-from repro.core.controller import RegulatorStats, TestpointDecision, ThreadRegulator
-from repro.core.errors import (
-    ClockError,
-    ConfigError,
-    MannersError,
-    MetricError,
-    PersistenceError,
-    RegulationStateError,
-)
-from repro.core.library import Manners
-from repro.core.parametric import ParametricComparator
-from repro.core.persistence import TargetStore
-from repro.core.sanity import ProgressSanityChecker, SanityVerdict
-from repro.core.rate import RateCalculator, RateSample
-from repro.core.regression import RidgeCalibrator
-from repro.core.scheduling import MultiplexArbiter
-from repro.core.signtest import Judgment, SignTest, good_threshold, min_poor_samples, poor_threshold
-from repro.core.superintendent import Superintendent
-from repro.core.supervisor import Supervisor, ThreadRecord
-from repro.core.suspension import SuspensionTimer
-
-__all__ = [
-    "Calibrator",
-    "Clock",
-    "ClockError",
-    "ConfigError",
-    "DEFAULT_CONFIG",
-    "DirectComparator",
-    "ExponentialAverager",
-    "Judgment",
-    "Manners",
-    "MannersConfig",
-    "MannersError",
-    "ManualClock",
-    "MetricError",
-    "MonotonicClock",
-    "MultiplexArbiter",
-    "ParametricComparator",
-    "PersistenceError",
-    "ProgressSanityChecker",
-    "RateCalculator",
-    "RateComparator",
-    "RateSample",
-    "RegulationStateError",
-    "RegulatorStats",
-    "RidgeCalibrator",
-    "SanityVerdict",
-    "SignTest",
-    "SingleMetricCalibrator",
-    "StatisticalComparator",
-    "Superintendent",
-    "Supervisor",
-    "SuspensionTimer",
-    "TargetStore",
-    "TestpointDecision",
-    "ThreadRecord",
-    "ThreadRegulator",
-    "decay_from_window",
-    "good_threshold",
-    "make_calibrator",
-    "min_poor_samples",
-    "poor_threshold",
-    "window_from_decay",
-]

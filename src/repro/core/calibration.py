@@ -223,8 +223,8 @@ class SingleMetricCalibrator:
                         )
                     )
             if self._avg.value is not None:
-                tel.metrics.gauge("target_rate").set(self._avg.value)
-            tel.metrics.gauge("calibration_scale").set(self._median.scale)
+                tel.metrics.gauges.target_rate.set(self._avg.value)
+            tel.metrics.gauges.calibration_scale.set(self._median.scale)
             tel.metrics.histogram("progress_rate", RATE_BUCKETS).observe(
                 dp / duration
             )

@@ -14,8 +14,6 @@ embedding substrate supplies a :class:`Clock`:
 All clocks report seconds as floats and are required to be monotonic
 non-decreasing; :class:`ManualClock` raises
 :class:`~repro.core.errors.ClockError` on an attempt to move backwards.
-:class:`GuardedClock` wraps an *untrusted* time source (one that may step
-backwards or leap) and presents a monotonic, anomaly-counting view of it.
 """
 
 from __future__ import annotations
@@ -25,9 +23,8 @@ import time
 from typing import Protocol, runtime_checkable
 
 from repro.core.errors import ClockError
-from repro.core.sanity import ClockAnomalyGuard
 
-__all__ = ["Clock", "MonotonicClock", "ManualClock", "GuardedClock"]
+__all__ = ["Clock", "MonotonicClock", "ManualClock"]
 
 
 @runtime_checkable
@@ -94,44 +91,3 @@ class ManualClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ManualClock(now={self._now!r})"
-
-
-class GuardedClock:
-    """A monotonic, anomaly-absorbing view of an untrusted time source.
-
-    Wraps any :class:`Clock` (or zero-argument callable) whose readings may
-    regress or leap — a wall clock subject to NTP steps, a deserialized
-    timestamp stream, a fault-injected source — and guarantees
-    non-decreasing output: a backward reading is *clamped* to the furthest
-    time seen (and counted), so downstream regulation code never observes
-    time running in reverse.  Forward jumps beyond ``max_jump`` pass
-    through (time really advanced) but are counted, letting the embedding
-    substrate discard the spanning measurement interval (§4.1).
-    """
-
-    __slots__ = ("_source", "_guard")
-
-    def __init__(self, source: "Clock", max_jump: float = math.inf) -> None:
-        self._source = source
-        self._guard = ClockAnomalyGuard(max_jump=max_jump)
-
-    @property
-    def backward_steps(self) -> int:
-        """Readings clamped because the source moved backwards."""
-        return self._guard.backward_steps
-
-    @property
-    def forward_jumps(self) -> int:
-        """Readings that leapt forward by more than ``max_jump`` seconds."""
-        return self._guard.forward_jumps
-
-    def now(self) -> float:
-        """Current guarded reading: non-decreasing, never NaN/inf."""
-        raw = self._source.now()
-        anomaly = self._guard.check(raw)
-        if anomaly == "backward" or self._guard.last is None:
-            # Clamped: report the furthest plausible time instead.  A
-            # guard that has never accepted a reading (all-NaN source)
-            # degrades to zero rather than propagating the poison.
-            return self._guard.last if self._guard.last is not None else 0.0
-        return raw

@@ -175,7 +175,7 @@ class StatisticalComparator:
                 )
                 ctx.judgment = judgment_span
                 ctx.window.clear()
-            tel.metrics.inc(f"signtest_{verdict.value}_windows")
+            tel.metrics.counter(f"signtest_{verdict.value}_windows").inc()
             tel.metrics.histogram("time_to_detect").observe(time_to_detect)
         elif ctx is not None and test.sample_count == 0:
             # The window hit max_samples and restarted without a verdict;

@@ -33,12 +33,15 @@ Responsibilities, mapped to the paper:
   interval, or an implausible rate spike (more than
   ``rate_spike_factor`` times the calibrated rate) discards the sample —
   rebasing baselines, perturbing neither the calibrated target nor the
-  sign test — and reports an ``anomaly`` event.
+  sign test — and reports an ``anomaly`` event.  A non-finite timestamp
+  or counter is a caller error and raises; a non-finite timestamp raises
+  before any state changes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -46,7 +49,6 @@ from repro.core.calibration import Calibrator, make_calibrator
 from repro.core.comparator import RateComparator, StatisticalComparator
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.errors import MetricError, RegulationStateError
-from repro.core.rate import MIN_MEASURABLE_DURATION
 from repro.core.signtest import Judgment
 from repro.core.suspension import SuspensionTimer
 from repro.obs import events as obs_events
@@ -60,6 +62,15 @@ __all__ = ["TestpointDecision", "RegulatorStats", "ThreadRegulator"]
 #: end of its thread's mandated suspension.  Absorbs clock jitter in real
 #: substrates; exact in the simulator.
 _OFF_PROTOCOL_SLACK = 1e-6
+
+#: Durations at or below this many seconds are indistinguishable from a
+#: frozen clock at double precision: dividing a progress delta by them
+#: manufactures astronomically large but *finite* rates (e.g. 1e-10 units
+#: over 2e-308 s reads as ~5e297 units/s) that sail past the §4.1
+#: rate-spike guard's multiplicative threshold.  The zero-elapsed guard
+#: discards them exactly like a zero-duration interval instead.
+MIN_MEASURABLE_DURATION = sys.float_info.epsilon
+
 
 def _encode_time(value: float) -> float | None:
     """JSON-safe encoding for pre-priming time baselines (``-inf`` → ``None``)."""
@@ -359,14 +370,24 @@ class ThreadRegulator:
                 set on first use.
             counters: Cumulative progress counters for the set, one per
                 metric, monotone non-decreasing across calls.
+
+        Raises:
+            MetricError: ``now`` is not finite (raised before any state
+                changes), or the counters are malformed (wrong arity,
+                non-finite, regressed).
         """
+        if not math.isfinite(now):
+            # An infinite first timestamp would pin probation open forever,
+            # and a NaN fails only deep in the comparator, after the
+            # counters were already adopted.
+            raise MetricError(f"testpoint time is not finite: {now}")
         self.stats.testpoints += 1
         if self._start_time is None:
             self._start_time = now
         tel = self._telemetry
         if tel is not None:
             tel.tick(now)
-            tel.metrics.inc("testpoints")
+            tel.metrics.counters.testpoints.inc()
 
         arity = len(counters)
         set_state = self._ensure_set(index, arity)
@@ -380,7 +401,7 @@ class ThreadRegulator:
             self._processed_testpoints += 1
             self.stats.processed += 1
             if tel is not None:
-                tel.metrics.inc("testpoints_processed")
+                tel.metrics.counters.testpoints_processed.inc()
                 tel.emit(
                     obs_events.PhaseTransition(
                         t=now,
@@ -402,7 +423,7 @@ class ThreadRegulator:
             self._processed_testpoints += 1
             self.stats.processed += 1
             if tel is not None:
-                tel.metrics.inc("testpoints_processed")
+                tel.metrics.counters.testpoints_processed.inc()
                 self._note_bootstrap_exit(tel, was_bootstrap, now)
             return self._discard_anomalous(
                 now,
@@ -421,7 +442,7 @@ class ThreadRegulator:
         if (0.0 <= since_release < gate) or (since_release < 0.0 and since_arrival < gate):
             self.stats.lightweight += 1
             if tel is not None:
-                tel.metrics.inc("testpoints_lightweight")
+                tel.metrics.counters.testpoints_lightweight.inc()
             return TestpointDecision(processed=False)
 
         if tel is not None:
@@ -447,7 +468,7 @@ class ThreadRegulator:
             self._processed_testpoints += 1
             self.stats.processed += 1
             if tel is not None:
-                tel.metrics.inc("testpoints_processed")
+                tel.metrics.counters.testpoints_processed.inc()
                 self._note_bootstrap_exit(tel, was_bootstrap, now)
             return self._discard_anomalous(
                 now,
@@ -472,7 +493,7 @@ class ThreadRegulator:
             self._processed_testpoints += 1
             self.stats.processed += 1
             if tel is not None:
-                tel.metrics.inc("testpoints_processed")
+                tel.metrics.counters.testpoints_processed.inc()
                 self._note_bootstrap_exit(tel, was_bootstrap, now)
             self._finish(now, delay=0.0)
             return TestpointDecision(processed=True, bootstrap=self.in_bootstrap)
@@ -483,17 +504,17 @@ class ThreadRegulator:
         self._processed_testpoints += 1
         self.stats.processed += 1
         if tel is not None:
-            tel.metrics.inc("testpoints_processed")
+            tel.metrics.counters.testpoints_processed.inc()
             self._note_bootstrap_exit(tel, was_bootstrap, now)
             if off_protocol:
-                tel.metrics.inc("off_protocol_samples")
+                tel.metrics.counters.off_protocol_samples.inc()
 
         # Hung-thread discard (section 7.1): an interval spanning a large
         # external delay carries no usable rate information.
         if duration > self._config.hung_threshold:
             self.stats.hung_discards += 1
             if tel is not None:
-                tel.metrics.inc("discards_hung")
+                tel.metrics.counters.discards_hung.inc()
                 tel.emit(
                     obs_events.SampleDiscarded(
                         t=now, src=tel.label, reason="hung", duration=duration
@@ -523,11 +544,11 @@ class ThreadRegulator:
 
         # Zero-elapsed guard (section 4.1): with no *measurable* time between
         # processed testpoints (a frozen or coarsely quantized clock) the
-        # sample has no rate.  Sub-epsilon durations count as zero here —
-        # matching the RateSample.rate() contract — because dividing by them
-        # manufactures absurd finite rates that would corrupt the calibrated
-        # target.  Judging such a sample would also feed the sign test a
-        # spurious faster-than-target observation, so discard instead.
+        # sample has no rate.  Durations up to MIN_MEASURABLE_DURATION count
+        # as zero, because dividing by them manufactures absurd finite rates
+        # that would corrupt the calibrated target.  Judging such a sample
+        # would also feed the sign test a spurious faster-than-target
+        # observation, so discard instead.
         if duration <= MIN_MEASURABLE_DURATION:
             self.stats.zero_elapsed_discards += 1
             return self._discard_anomalous(
@@ -607,12 +628,12 @@ class ThreadRegulator:
                             deltas=deltas,
                         )
                     )
-                tel.metrics.inc("calibration_samples")
+                tel.metrics.counters.calibration_samples.inc()
             set_state.calibrator.update(duration, deltas)
             self.stats.calibration_samples += 1
             calibrated = True
         elif tel is not None and off_protocol:
-            tel.metrics.inc("discards_subsample")
+            tel.metrics.counters.discards_subsample.inc()
             tel.emit(
                 obs_events.SampleDiscarded(
                     t=now, src=tel.label, reason="subsample", duration=duration
@@ -635,8 +656,8 @@ class ThreadRegulator:
                 level = self._suspension.consecutive_poor
                 delay = self._suspension.on_poor()
                 if tel is not None:
-                    tel.metrics.inc("judgments_poor")
-                    tel.metrics.inc("suspensions")
+                    tel.metrics.counters.judgments_poor.inc()
+                    tel.metrics.counters.suspensions.inc()
                     tel.metrics.histogram("suspension_delay").observe(delay)
                     tel.emit(
                         obs_events.SuspensionStarted(
@@ -647,11 +668,11 @@ class ThreadRegulator:
                 self.stats.good_judgments += 1
                 self._suspension.on_good()
                 if tel is not None:
-                    tel.metrics.inc("judgments_good")
+                    tel.metrics.counters.judgments_good.inc()
             else:
                 self.stats.indeterminate += 1
                 if tel is not None:
-                    tel.metrics.inc("judgments_indeterminate")
+                    tel.metrics.counters.judgments_indeterminate.inc()
 
         # Probationary duty-cycle cap (section 4.3): until the probation
         # period expires, the thread may execute at most ``probation_duty``
@@ -690,14 +711,14 @@ class ThreadRegulator:
 
         self.stats.total_suspension += delay
         if tel is not None:
-            tel.metrics.counter("execution_seconds").inc(duration)
-            tel.metrics.counter("suspension_seconds").inc(delay)
+            tel.metrics.counters.execution_seconds.inc(duration)
+            tel.metrics.counters.suspension_seconds.inc(delay)
             tel.metrics.histogram("testpoint_duration").observe(duration)
-            tel.metrics.gauge("backoff_level").set(
+            tel.metrics.gauges.backoff_level.set(
                 float(self._suspension.consecutive_poor)
             )
             if target_duration is not None:
-                tel.metrics.gauge("target_duration").set(target_duration)
+                tel.metrics.gauges.target_duration.set(target_duration)
             if tel.emitting:
                 tel.emit(
                     obs_events.TestpointProcessed(
@@ -766,7 +787,7 @@ class ThreadRegulator:
         """Drop the current sample, rebase times, report the anomaly."""
         tel = self._telemetry
         if tel is not None:
-            tel.metrics.inc("discards_anomaly")
+            tel.metrics.counters.discards_anomaly.inc()
             tel.emit(
                 obs_events.AnomalyDetected(
                     t=now, src=tel.label, anomaly=anomaly, value=duration, detail=detail

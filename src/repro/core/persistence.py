@@ -257,7 +257,7 @@ class TargetStore:
                     detail=str(target),
                 )
             )
-            tel.metrics.inc("target_files_quarantined")
+            tel.metrics.counters.target_files_quarantined.inc()
 
     def _note_save_failure(self, exc: OSError, attempt: int) -> None:
         tel = self._telemetry
@@ -277,4 +277,4 @@ class TargetStore:
                         t=tel.now, src=tel.label, action="save_retry"
                     )
                 )
-            tel.metrics.inc("target_save_failures")
+            tel.metrics.counters.target_save_failures.inc()

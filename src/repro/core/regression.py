@@ -40,6 +40,7 @@ import sys
 from typing import Sequence
 
 from repro.core.errors import ConfigError, MetricError
+from repro.obs import events as obs_events
 
 __all__ = ["RidgeCalibrator"]
 
@@ -301,8 +302,6 @@ class RidgeCalibrator:
         tel = self._telemetry
         if tel is not None:
             if tel.emitting:
-                from repro.obs import events as obs_events
-
                 tel.emit(
                     obs_events.TargetUpdated(
                         t=tel.now,
@@ -313,7 +312,7 @@ class RidgeCalibrator:
                         scale=self._median.scale,
                     )
                 )
-            tel.metrics.gauge("calibration_scale").set(self._median.scale)
+            tel.metrics.gauges.calibration_scale.set(self._median.scale)
 
     def coefficients(self) -> tuple[float, ...]:
         """Solve the ridge-regularized normal equations for ``c_k = 1/r_k``.

@@ -28,57 +28,7 @@ from typing import Sequence
 from repro.core.averaging import ExponentialAverager
 from repro.core.errors import ConfigError, MetricError
 
-__all__ = ["SanityVerdict", "ProgressSanityChecker", "ClockAnomalyGuard"]
-
-
-class ClockAnomalyGuard:
-    """Classifies successive clock readings as sane or anomalous (§4.1).
-
-    The paper mandates sanity checks on progress measurements; timestamps
-    are half of every measurement.  The guard tracks the last accepted
-    reading and classifies each new one:
-
-    * ``"backward"`` — the reading regressed (a stepped wall clock, a
-      deserialized stale timestamp);
-    * ``"jump"`` — the reading leapt forward by more than ``max_jump``
-      seconds (a suspended VM, a laptop lid close);
-    * ``None`` — plausible; the reading becomes the new baseline.
-
-    Anomalous readings do **not** move the baseline backward: a backward
-    step is measured against the furthest point the clock ever reached, so
-    a one-off glitch produces one anomaly, not a run of them.  Forward
-    jumps *do* advance the baseline (time really has passed; only the
-    spanning interval is suspect).
-    """
-
-    __slots__ = ("max_jump", "last", "backward_steps", "forward_jumps")
-
-    def __init__(self, max_jump: float = math.inf) -> None:
-        if max_jump <= 0 or math.isnan(max_jump):
-            raise ConfigError(f"max_jump must be positive, got {max_jump}")
-        self.max_jump = max_jump
-        #: Furthest plausible reading seen so far (``None`` until primed).
-        self.last: float | None = None
-        self.backward_steps = 0
-        self.forward_jumps = 0
-
-    def check(self, now: float) -> str | None:
-        """Classify ``now``; return ``"backward"``, ``"jump"``, or ``None``."""
-        if not math.isfinite(now):
-            self.backward_steps += 1
-            return "backward"
-        if self.last is None:
-            self.last = now
-            return None
-        if now < self.last:
-            self.backward_steps += 1
-            return "backward"
-        if now - self.last > self.max_jump:
-            self.forward_jumps += 1
-            self.last = now
-            return "jump"
-        self.last = now
-        return None
+__all__ = ["SanityVerdict", "ProgressSanityChecker"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,7 +76,7 @@ class Superintendent:
         tel = self._telemetry
         if tel is not None and holds and before != pid:
             tel.tick(now)
-            tel.metrics.inc("token_handoffs")
+            tel.metrics.counters.token_handoffs.inc()
             if tel.emitting:
                 tel.emit(
                     obs_events.TokenHandoff(

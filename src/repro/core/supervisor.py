@@ -209,7 +209,7 @@ class Supervisor:
             tel = self._telemetry
             if tel is not None:
                 tel.tick(now)
-                tel.metrics.inc("slot_grants")
+                tel.metrics.counters.slot_grants.inc()
                 if tel.emitting:
                     tel.emit(
                         obs_events.SlotGranted(
@@ -302,7 +302,7 @@ class Supervisor:
         tel = self._telemetry
         if tel is not None:
             tel.tick(now)
-            tel.metrics.inc("slot_evictions")
+            tel.metrics.counters.slot_evictions.inc()
             tel.emit(
                 obs_events.SlotEvicted(
                     t=now,
@@ -330,7 +330,7 @@ class Supervisor:
                     )
                 )
             if watchdog:
-                tel.metrics.inc("watchdog_evictions")
+                tel.metrics.counters.watchdog_evictions.inc()
                 tel.emit(
                     obs_events.AnomalyDetected(
                         t=now,

@@ -153,7 +153,7 @@ class SuspensionTimer:
                         attrs={"from_level": self._consecutive_poor},
                     )
                 )
-            tel.metrics.inc("backoff_resets")
+            tel.metrics.counters.backoff_resets.inc()
         self._current = self.initial
         self._consecutive_poor = 0
 

@@ -1,4 +1,4 @@
-"""The supervised regulator daemon (ROADMAP item 5).
+"""The supervised regulator daemon.
 
 A deployable superintendent: :class:`~repro.daemon.server.RegulatorDaemon`
 regulates real OS worker subprocesses over a local-socket JSON-line
@@ -10,47 +10,3 @@ fault must be answered by a matching recovery action in the telemetry
 trace.  Workers embed :class:`~repro.daemon.client.DaemonClient`; the
 canonical low-importance workloads live in :mod:`repro.daemon.worker`.
 """
-
-from repro.daemon.chaos import RECOVERY_ACTIONS, SCENARIO_KINDS, ChaosState, ipc_plan
-from repro.daemon.client import (
-    ControlClient,
-    DaemonClient,
-    DaemonShutdown,
-    DaemonUnavailable,
-)
-from repro.daemon.journal import JournalRecord, StateJournal, state_digest
-from repro.daemon.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-)
-from repro.daemon.server import RegulatorDaemon, WorkerSpec
-from repro.daemon.soak import SoakReport, SoakRunResult, match_faults, run_soak, soak_config
-
-__all__ = [
-    "PROTOCOL_VERSION",
-    "MAX_FRAME_BYTES",
-    "ProtocolError",
-    "encode_frame",
-    "decode_frame",
-    "StateJournal",
-    "JournalRecord",
-    "state_digest",
-    "ChaosState",
-    "RECOVERY_ACTIONS",
-    "SCENARIO_KINDS",
-    "ipc_plan",
-    "RegulatorDaemon",
-    "WorkerSpec",
-    "DaemonClient",
-    "ControlClient",
-    "DaemonShutdown",
-    "DaemonUnavailable",
-    "SoakReport",
-    "SoakRunResult",
-    "match_faults",
-    "run_soak",
-    "soak_config",
-]

@@ -12,35 +12,3 @@ pass/fail plus a determinism fingerprint through the obs event stream.
 See ``docs/robustness.md`` for the fault model and the degraded-mode
 contract each scenario enforces.
 """
-
-from repro.faults.injector import FaultInjector, SkewedTime
-from repro.faults.plan import IPC_FAULTS, KNOWN_FAULTS, FaultPlan, FaultSpec
-from repro.faults.scenarios import (
-    SCENARIOS,
-    ScenarioReport,
-    fingerprint_key,
-    load_fingerprints,
-    record_fingerprints,
-    recorded_fingerprint,
-    run_scenario,
-)
-from repro.faults.stores import FlakySink, FlakyTargetStore, corrupt_target_file
-
-__all__ = [
-    "FaultSpec",
-    "FaultPlan",
-    "KNOWN_FAULTS",
-    "IPC_FAULTS",
-    "FaultInjector",
-    "SkewedTime",
-    "FlakyTargetStore",
-    "FlakySink",
-    "corrupt_target_file",
-    "ScenarioReport",
-    "SCENARIOS",
-    "run_scenario",
-    "fingerprint_key",
-    "load_fingerprints",
-    "recorded_fingerprint",
-    "record_fingerprints",
-]

@@ -149,7 +149,7 @@ class FaultInjector:
                     t=now, src="faults", fault=kind, target=target, param=param
                 )
             )
-            tel.metrics.inc("faults_injected")
+            tel.metrics.counters.faults_injected.inc()
             # Push everything buffered so far — including this fault — to
             # the sinks now.  An attached flight recorder auto-dumps on the
             # fault event, so the dump holds the complete ordered history

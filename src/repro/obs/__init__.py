@@ -28,110 +28,9 @@ no allocation — so determinism and the tier-1 suite are unaffected.  See
 ``docs/observability.md``.
 """
 
-from repro.obs.events import (
-    EVENT_SCHEMA_VERSION,
-    EVENT_TYPES,
-    AnomalyDetected,
-    BackoffReset,
-    BeNicePoll,
-    CalibrationSample,
-    Event,
-    FaultInjected,
-    FlightRecorderDump,
-    JudgmentIssued,
-    PhaseTransition,
-    RecoveryAction,
-    SampleDiscarded,
-    SlotEvicted,
-    SlotGranted,
-    Span,
-    SuspensionEnded,
-    SuspensionStarted,
-    TargetUpdated,
-    TestpointProcessed,
-    TokenHandoff,
-    event_from_dict,
-    event_to_dict,
-)
-from repro.obs.flightrec import DEFAULT_CAPACITY, FlightRecorder
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    RATE_BUCKETS,
-    TICK_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    to_prometheus,
-)
-from repro.obs.report import (
-    metrics_from_events,
-    read_events,
-    summarize,
-    summarize_file,
-)
-from repro.obs.sinks import EventSink, FanoutSink, JsonlSink, MemorySink, NullSink
-from repro.obs.telemetry import Telemetry, scope_label
-from repro.obs.trace2 import (
-    SPAN_NAMES,
-    TraceContext,
-    Tracer,
-    explain,
-    explain_events,
-    span_index,
-    spans_of,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import JsonlSink, MemorySink
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace2 import Tracer
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "DEFAULT_CAPACITY",
-    "EVENT_SCHEMA_VERSION",
-    "EVENT_TYPES",
-    "RATE_BUCKETS",
-    "SPAN_NAMES",
-    "TICK_LATENCY_BUCKETS",
-    "AnomalyDetected",
-    "BackoffReset",
-    "BeNicePoll",
-    "CalibrationSample",
-    "Counter",
-    "Event",
-    "EventSink",
-    "FanoutSink",
-    "FaultInjected",
-    "FlightRecorder",
-    "FlightRecorderDump",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "JudgmentIssued",
-    "MemorySink",
-    "MetricsRegistry",
-    "NullSink",
-    "PhaseTransition",
-    "RecoveryAction",
-    "SampleDiscarded",
-    "SlotEvicted",
-    "SlotGranted",
-    "Span",
-    "SuspensionEnded",
-    "SuspensionStarted",
-    "TargetUpdated",
-    "Telemetry",
-    "TestpointProcessed",
-    "TokenHandoff",
-    "TraceContext",
-    "Tracer",
-    "event_from_dict",
-    "event_to_dict",
-    "explain",
-    "explain_events",
-    "metrics_from_events",
-    "read_events",
-    "scope_label",
-    "span_index",
-    "spans_of",
-    "summarize",
-    "summarize_file",
-    "to_prometheus",
-]
+__all__ = ["JsonlSink", "MemorySink", "MetricsRegistry", "Telemetry", "Tracer"]

@@ -9,14 +9,16 @@ cost on the enabled path and literally-one-branch cost when telemetry is
 absent (the instrumented components then never touch the registry at all).
 
 All instruments are get-or-create by name, so independent components can
-contribute to the same counter without coordination.  Snapshots are plain
-dicts ready for ``json.dumps``.
+contribute to the same counter without coordination.  Per-testpoint emit
+sites reach them as attributes (``registry.counters.testpoints.inc()``),
+which looks each name up once per registry instead of once per update.
+Snapshots are plain dicts ready for ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "Counter",
@@ -153,15 +155,38 @@ class Histogram:
         }
 
 
+class _Instruments:
+    """Attribute access to one kind of instrument: ``view.name`` is ``lookup("name")``.
+
+    The first access looks the instrument up, creating it exactly as the
+    lookup method would; later accesses are a plain attribute read.  An
+    instrument is listed in snapshots from that first access, so emit sites
+    reach it only to update it.
+    """
+
+    def __init__(self, lookup: Callable[[str], object]) -> None:
+        self._lookup = lookup
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        instrument = self._lookup(name)
+        setattr(self, name, instrument)
+        return instrument
+
+
 class MetricsRegistry:
     """Flat get-or-create namespace of counters, gauges, and histograms."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_histograms", "counters", "gauges")
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: Counters and gauges by attribute, each looked up on first use.
+        self.counters = _Instruments(self.counter)
+        self.gauges = _Instruments(self.gauge)
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name``, created on first use."""
@@ -185,10 +210,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, buckets)
         return instrument
-
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Shorthand: increment the counter named ``name``."""
-        self.counter(name).inc(amount)
 
     def snapshot(self) -> dict:
         """Point-in-time JSON-safe view of every instrument.

@@ -223,11 +223,11 @@ class Telemetry:
         """Count one emit failure; disable the sink past the limit."""
         root = self._root
         root._sink_failures += 1
-        self.metrics.inc("sink_failures")
+        self.metrics.counters.sink_failures.inc()
         if root._sink_failures >= _SINK_FAILURE_LIMIT:
             root._sink_disabled = True
             root.emitting = False
-            self.metrics.inc("sink_disabled")
+            self.metrics.counters.sink_disabled.inc()
             warnings.warn(
                 f"telemetry sink {self.sink!r} disabled after "
                 f"{root._sink_failures} emit failures; "

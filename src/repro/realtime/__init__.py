@@ -1,14 +1,6 @@
 """Wall-clock regulation of real Python threads and OS processes."""
 
 from repro.realtime.adapter import RealTimeRegulator
-from repro.realtime.deadlines import DeadlineQueue
 from repro.realtime.filetoken import FileTokenSuperintendent
-from repro.realtime.posix_benice import JsonFileCounters, PosixBeNice
 
-__all__ = [
-    "DeadlineQueue",
-    "FileTokenSuperintendent",
-    "JsonFileCounters",
-    "PosixBeNice",
-    "RealTimeRegulator",
-]
+__all__ = ["FileTokenSuperintendent", "RealTimeRegulator"]

@@ -329,4 +329,4 @@ class RealTimeRegulator:
                     t=tel.now, src=tel.label, action=action, detail=str(exc)
                 )
             )
-            tel.metrics.inc("persistence_errors")
+            tel.metrics.counters.persistence_errors.inc()

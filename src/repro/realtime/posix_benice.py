@@ -180,7 +180,7 @@ class PosixBeNice:
                 self.stats.metric_errors += 1
                 tel = self._telemetry
                 if tel is not None:
-                    tel.metrics.inc("benice_metric_errors")
+                    tel.metrics.counters.benice_metric_errors.inc()
                     tel.emit(
                         obs_events.AnomalyDetected(
                             t=tel.now,
@@ -192,10 +192,10 @@ class PosixBeNice:
                 continue
             tel = self._telemetry
             if tel is not None:
-                tel.metrics.inc("benice_polls")
+                tel.metrics.counters.benice_polls.inc()
                 if not changed:
-                    tel.metrics.inc("benice_idle_polls")
-                tel.metrics.gauge("benice_poll_interval").set(self._poller.interval)
+                    tel.metrics.counters.benice_idle_polls.inc()
+                tel.metrics.gauges.benice_poll_interval.set(self._poller.interval)
                 tel.emit(
                     obs_events.BeNicePoll(
                         t=tel.now,

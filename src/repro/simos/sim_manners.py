@@ -208,7 +208,7 @@ class SimManners:
                 detail=f"{app_id}: {detail}",
             )
         )
-        tel.metrics.inc("target_load_fallbacks")
+        tel.metrics.counters.target_load_fallbacks.inc()
 
     def regulator(self, thread: SimThread) -> ThreadRegulator:
         """The regulator of an enrolled thread."""
@@ -281,7 +281,7 @@ class SimManners:
                     detail=f"thread exited with {type(thread.error).__name__}",
                 )
             )
-            tel.metrics.inc("slots_released_on_crash")
+            tel.metrics.counters.slots_released_on_crash.inc()
         self._pump()
 
     # -- arbitration pump --------------------------------------------------------------

@@ -1,5 +1,1 @@
 """Prior regulation approaches (paper section 2), as runnable baselines."""
-
-from repro.strategies.baselines import InputIdleGate, ProcessQueueGate, ScheduledWindows
-
-__all__ = ["InputIdleGate", "ProcessQueueGate", "ScheduledWindows"]

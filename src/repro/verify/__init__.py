@@ -22,54 +22,3 @@ determinism contracts:
 drives across seeds; ``repro verify run|lint|list`` is the CLI entry and
 CI gate.  See ``docs/verification.md`` for the full design.
 """
-
-from repro.verify.harness import (
-    INVARIANT_DRIVES,
-    ORACLES,
-    DriveResult,
-    VerifyReport,
-    run_verification,
-)
-from repro.verify.invariants import (
-    EngineInvariantMonitor,
-    InvariantViolation,
-    RegulatorInvariantMonitor,
-    SuspensionInvariantMonitor,
-    VerificationError,
-    ViolationRecorder,
-    check_regulator_roundtrip,
-)
-from repro.verify.lint import RULES, LintFinding, lint_paths, lint_source
-from repro.verify.oracles import (
-    OracleMismatch,
-    OracleResult,
-    chain_rng_oracle,
-    engine_oracle,
-    parallel_oracle,
-    signtest_oracle,
-)
-
-__all__ = [
-    "ORACLES",
-    "INVARIANT_DRIVES",
-    "RULES",
-    "DriveResult",
-    "VerifyReport",
-    "run_verification",
-    "VerificationError",
-    "InvariantViolation",
-    "ViolationRecorder",
-    "SuspensionInvariantMonitor",
-    "EngineInvariantMonitor",
-    "RegulatorInvariantMonitor",
-    "check_regulator_roundtrip",
-    "LintFinding",
-    "lint_source",
-    "lint_paths",
-    "OracleMismatch",
-    "OracleResult",
-    "signtest_oracle",
-    "engine_oracle",
-    "parallel_oracle",
-    "chain_rng_oracle",
-]

@@ -127,7 +127,7 @@ class ViolationRecorder:
                         },
                     )
                 )
-            tel.metrics.inc("invariant_violations")
+            tel.metrics.counters.invariant_violations.inc()
             # Deliver the anomaly (and its span) to any attached flight
             # recorder now, so the auto-dump captures a complete, ordered
             # buffer up to and including the violation itself.

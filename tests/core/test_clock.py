@@ -6,18 +6,8 @@ import math
 
 import pytest
 
-from repro.core.clock import Clock, GuardedClock, ManualClock, MonotonicClock
+from repro.core.clock import Clock, ManualClock, MonotonicClock
 from repro.core.errors import ClockError
-
-
-class _ScriptedSource:
-    """A clock replaying a fixed (possibly anomalous) reading sequence."""
-
-    def __init__(self, *readings):
-        self._readings = list(readings)
-
-    def now(self):
-        return self._readings.pop(0)
 
 
 class TestManualClock:
@@ -61,53 +51,3 @@ class TestMonotonicClock:
 
     def test_satisfies_protocol(self):
         assert isinstance(MonotonicClock(), Clock)
-
-
-class TestGuardedClock:
-    def test_sane_readings_pass_through(self):
-        guarded = GuardedClock(_ScriptedSource(1.0, 2.0, 3.5))
-        assert [guarded.now() for _ in range(3)] == [1.0, 2.0, 3.5]
-        assert guarded.backward_steps == 0
-        assert guarded.forward_jumps == 0
-
-    def test_backward_reading_clamped_to_furthest(self):
-        guarded = GuardedClock(_ScriptedSource(5.0, 3.0, 6.0))
-        assert guarded.now() == 5.0
-        # The regressed reading is clamped: time never runs backwards.
-        assert guarded.now() == 5.0
-        assert guarded.backward_steps == 1
-        # A subsequent sane reading resumes normally (one glitch, one clamp).
-        assert guarded.now() == 6.0
-        assert guarded.backward_steps == 1
-
-    def test_non_finite_readings_degrade_to_zero_until_primed(self):
-        guarded = GuardedClock(_ScriptedSource(math.nan, math.inf, 2.0))
-        assert guarded.now() == 0.0
-        assert guarded.now() == 0.0
-        assert guarded.backward_steps == 2
-        assert guarded.now() == 2.0
-
-    def test_non_finite_after_priming_holds_last_reading(self):
-        guarded = GuardedClock(_ScriptedSource(7.0, math.nan, 8.0))
-        assert guarded.now() == 7.0
-        assert guarded.now() == 7.0
-        assert guarded.now() == 8.0
-
-    def test_forward_jump_passes_through_but_is_counted(self):
-        guarded = GuardedClock(_ScriptedSource(0.0, 100.0, 101.0), max_jump=10.0)
-        assert guarded.now() == 0.0
-        # Time really advanced, so the reading is reported as-is...
-        assert guarded.now() == 100.0
-        # ...but counted, so the substrate can discard the spanning interval.
-        assert guarded.forward_jumps == 1
-        assert guarded.now() == 101.0
-        assert guarded.forward_jumps == 1
-
-    def test_satisfies_protocol(self):
-        assert isinstance(GuardedClock(ManualClock()), Clock)
-
-    def test_wraps_manual_clock(self, clock):
-        guarded = GuardedClock(clock)
-        assert guarded.now() == 0.0
-        clock.advance(1.5)
-        assert guarded.now() == 1.5

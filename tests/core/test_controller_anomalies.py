@@ -3,13 +3,21 @@
 Backward clock steps, zero-elapsed testpoints, and implausible rate spikes
 must each be discarded — without perturbing the calibrated target or the
 sign-test window — and regulation must continue normally on the very next
-testpoint (one discard, never a run of them).
+testpoint (one discard, never a run of them).  A non-finite timestamp is
+rejected before it touches any state.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import pytest
+
+from repro.core.clock import ManualClock
 from repro.core.comparator import StatisticalComparator
 from repro.core.controller import ThreadRegulator
+from repro.core.errors import MetricError
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
 
@@ -173,3 +181,33 @@ class TestForcedDiscard:
         second = reg.on_testpoint(clock.now(), 0, [counter + 11.0])
         assert second.anomaly is None
         assert reg.stats.forced_discards == 1
+
+
+class TestNonFiniteTime:
+    def test_infinite_first_testpoint_leaves_no_trace(self, fast_config):
+        """An ``inf`` start would pin probation open for the thread's life."""
+        config = fast_config.with_overrides(probation_period=60.0)
+        rejected, fresh = ThreadRegulator(config), ThreadRegulator(config)
+        with pytest.raises(MetricError, match="not finite"):
+            rejected.on_testpoint(math.inf, 0, [0.0])
+        rejected_clock, fresh_clock = ManualClock(), ManualClock()
+        calibrate(rejected, rejected_clock, steps=1000)
+        calibrate(fresh, fresh_clock, steps=1000)
+        assert rejected_clock.now() > 60.0
+        assert not rejected.in_probation(rejected_clock.now())
+        assert rejected.stats == fresh.stats
+        assert rejected_clock.now() == fresh_clock.now()
+
+    def test_nan_after_bootstrap_changes_nothing(self, clock, fast_config):
+        reg = ThreadRegulator(fast_config)
+        counter = calibrate(reg, clock, steps=100)
+        state = reg.export_state(include_runtime=True)
+        stats = dataclasses.replace(reg.stats)
+        clock.advance(0.1)
+        with pytest.raises(MetricError, match="not finite"):
+            reg.on_testpoint(math.nan, 0, [counter + 10.0])
+        assert reg.export_state(include_runtime=True) == state
+        assert reg.stats == stats
+        # The next sane testpoint is measured from the untouched baseline.
+        decision = reg.on_testpoint(clock.now(), 0, [counter + 10.0])
+        assert decision.processed and decision.anomaly is None

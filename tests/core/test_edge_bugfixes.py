@@ -2,9 +2,9 @@
 
 Every test here fails against the pre-fix code:
 
-* ``RateSample.rate`` used bare ``duration <= 0`` guards, so sub-epsilon
-  durations manufactured absurd finite rates (~5e297) and negative
-  durations silently produced negative rates.
+* The regulator's zero-elapsed guard tested ``duration <= 0``, so
+  sub-epsilon durations passed it and manufactured absurd finite rates
+  (~5e297) that the calibrator folded into its target.
 * ``ExponentialAverager``/``SingleMetricCalibrator`` snapshots dropped the
   warm-up sample count, so a restored calibrator re-entered arithmetic
   warm-up and its post-restore updates diverged from the original's.
@@ -20,58 +20,96 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 
 import pytest
 
 from repro.core.averaging import ExponentialAverager
 from repro.core.calibration import SingleMetricCalibrator
 from repro.core.config import DEFAULT_CONFIG
-from repro.core.controller import ThreadRegulator
+from repro.core.controller import MIN_MEASURABLE_DURATION, ThreadRegulator
 from repro.core.errors import ConfigError, MetricError
 from repro.core.queueing import (
     derive_chain_rng,
     expected_suspension,
     simulate_judgment_chain,
 )
-from repro.core.rate import MIN_MEASURABLE_DURATION, RateSample
 from repro.core.suspension import SuspensionTimer, capped_backoff
 
 
 class TestRateZeroDurationContract:
-    """Satellite 1: the §4.1-consistent zero-duration rate contract."""
+    """No rate is measured over an unmeasurable interval (§4.1).
 
-    def test_zero_progress_zero_duration_is_zero(self):
-        assert RateSample(0.0, 0.0, (0.0,)).rate(0) == 0.0
+    ``ThreadRegulator.on_testpoint`` discards a sample whose duration is at
+    or below :data:`MIN_MEASURABLE_DURATION` as ``zero_elapsed``: it is
+    neither calibrated nor judged.  Exact zeros were discarded before the
+    fix as well; the sub-epsilon and boundary cases fail against it.
+    """
 
-    def test_progress_over_zero_duration_is_inf(self):
-        assert RateSample(0.0, 0.0, (5.0,)).rate(0) == math.inf
+    @staticmethod
+    def _regulator():
+        config = DEFAULT_CONFIG.with_overrides(
+            bootstrap_testpoints=6, min_testpoint_interval=0.0
+        )
+        regulator = ThreadRegulator(config=config)
+        regulator.on_testpoint(0.0, 0, (0.0,))
+        return regulator
+
+    def _second(self, now, progress):
+        regulator = self._regulator()
+        return regulator, regulator.on_testpoint(now, 0, (progress,))
+
+    def test_zero_progress_zero_time_discarded(self):
+        regulator, decision = self._second(0.0, 0.0)
+        assert decision.processed
+        assert decision.anomaly == "zero_elapsed"
+        assert not decision.calibrated
+        assert regulator.stats.zero_elapsed_discards == 1
+
+    def test_progress_in_zero_time_is_discarded(self):
+        regulator, decision = self._second(0.0, 5.0)
+        assert decision.anomaly == "zero_elapsed"
+        assert decision.deltas == (5.0,)
+        assert regulator.calibrator(0).sample_count == 0
 
     def test_negative_zero_duration_matches_positive_zero(self):
-        assert RateSample(0.0, -0.0, (0.0,)).rate(0) == 0.0
-        assert RateSample(0.0, -0.0, (5.0,)).rate(0) == math.inf
+        # 0.0 after a priming call at 0.0 gives a duration of +0.0; -0.0
+        # gives max(-0.0, 0.0), which is -0.0.
+        positive, at_positive = self._second(0.0, 5.0)
+        negative, at_negative = self._second(-0.0, 5.0)
+        assert at_negative == at_positive
+        assert at_negative.anomaly == "zero_elapsed"
+        assert negative.stats == positive.stats
 
     def test_sub_epsilon_duration_does_not_manufacture_finite_garbage(self):
-        # Pre-fix, a sub-epsilon duration (clock jitter, not a real
-        # interval) divided through and produced a "legitimate"-looking
-        # finite rate around 1e290 — poisoning the calibrator average.
-        tiny = sys.float_info.epsilon / 2.0
-        assert RateSample(0.0, tiny, (1e-20,)).rate(0) == math.inf
-        assert RateSample(0.0, tiny, (0.0,)).rate(0) == 0.0
+        # Before the fix a half-epsilon interval was measured: 1e-20 units
+        # over ~1.1e-16 s read as a legitimate-looking finite rate.
+        tiny = MIN_MEASURABLE_DURATION / 2.0
+        regulator, decision = self._second(tiny, 1e-20)
+        assert decision.anomaly == "zero_elapsed"
+        assert not decision.calibrated
+        assert regulator.calibrator(0).sample_count == 0
 
     def test_epsilon_boundary_is_the_threshold(self):
-        at = RateSample(0.0, MIN_MEASURABLE_DURATION, (1.0,))
-        above = RateSample(0.0, math.nextafter(MIN_MEASURABLE_DURATION, 1.0), (1.0,))
-        assert at.rate(0) == math.inf
-        assert math.isfinite(above.rate(0))
+        _, at = self._second(MIN_MEASURABLE_DURATION, 1.0)
+        above_duration = math.nextafter(MIN_MEASURABLE_DURATION, 1.0)
+        regulator, above = self._second(above_duration, 1.0)
+        assert at.anomaly == "zero_elapsed"
+        assert above.anomaly is None
+        assert above.calibrated
+        assert above.duration == above_duration
+        assert regulator.calibrator(0).sample_count == 1
 
-    def test_negative_duration_raises(self):
-        with pytest.raises(MetricError):
-            RateSample(0.0, -1.0, (1.0,)).rate(0)
+    def test_negative_duration_is_clock_backward(self):
+        regulator, decision = self._second(-1.0, 1.0)
+        assert decision.anomaly == "clock_backward"
+        assert regulator.stats.clock_anomalies == 1
+        assert regulator.calibrator(0).sample_count == 0
 
     def test_nan_duration_raises(self):
-        with pytest.raises(MetricError):
-            RateSample(0.0, math.nan, (1.0,)).rate(0)
+        regulator = self._regulator()
+        with pytest.raises(MetricError, match="not finite"):
+            regulator.on_testpoint(math.nan, 0, (1.0,))
+        assert regulator.stats.testpoints == 1
 
 
 class TestAveragerWarmupPersistence:

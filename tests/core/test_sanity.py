@@ -2,65 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from repro.core.errors import ConfigError, MetricError
-from repro.core.sanity import ClockAnomalyGuard, ProgressSanityChecker
-
-
-class TestClockAnomalyGuard:
-    def test_first_reading_primes(self):
-        guard = ClockAnomalyGuard()
-        assert guard.check(10.0) is None
-        assert guard.last == 10.0
-
-    def test_plausible_readings_advance_baseline(self):
-        guard = ClockAnomalyGuard()
-        for t in (1.0, 2.0, 2.0, 3.5):
-            assert guard.check(t) is None
-        assert guard.last == 3.5
-        assert guard.backward_steps == 0
-        assert guard.forward_jumps == 0
-
-    def test_backward_step_keeps_baseline(self):
-        guard = ClockAnomalyGuard()
-        guard.check(10.0)
-        assert guard.check(4.0) == "backward"
-        assert guard.backward_steps == 1
-        # Baseline never moves backward: one glitch is one anomaly, not a
-        # run of them.
-        assert guard.last == 10.0
-        assert guard.check(11.0) is None
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_counts_as_backward(self, bad):
-        guard = ClockAnomalyGuard()
-        guard.check(5.0)
-        assert guard.check(bad) == "backward"
-        assert guard.backward_steps == 1
-        assert guard.last == 5.0
-
-    def test_forward_jump_advances_baseline(self):
-        guard = ClockAnomalyGuard(max_jump=60.0)
-        guard.check(0.0)
-        assert guard.check(3600.0) == "jump"
-        assert guard.forward_jumps == 1
-        # Time really advanced; only the spanning interval was suspect.
-        assert guard.last == 3600.0
-        assert guard.check(3601.0) is None
-
-    def test_jump_at_exact_threshold_is_plausible(self):
-        guard = ClockAnomalyGuard(max_jump=60.0)
-        guard.check(0.0)
-        assert guard.check(60.0) is None
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_max_jump_domain(self, bad):
-        with pytest.raises(ConfigError):
-            ClockAnomalyGuard(max_jump=bad)
+from repro.core.sanity import ProgressSanityChecker
 
 
 def feed_honest(checker, rng, windows=100, cost=0.001):

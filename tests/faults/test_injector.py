@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.errors import FaultError
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, SkewedTime
+from repro.faults.injector import FaultInjector, SkewedTime
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
 from repro.simos.effects import Delay, DiskRead

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import FaultError
-from repro.faults import KNOWN_FAULTS, FaultPlan, FaultSpec
+from repro.faults.plan import KNOWN_FAULTS, FaultPlan, FaultSpec
 
 
 class TestFaultSpec:

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.core.errors import FaultError
-from repro.faults import SCENARIOS, run_scenario
+from repro.faults.scenarios import SCENARIOS, run_scenario
 
 SEEDS = (1, 2, 3)
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import FaultError, PersistenceError
 from repro.core.persistence import QUARANTINE_SUFFIX, TargetStore
-from repro.faults import FlakySink, FlakyTargetStore, corrupt_target_file
+from repro.faults.stores import FlakySink, FlakyTargetStore, corrupt_target_file
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
 

@@ -12,21 +12,34 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 class TestCounter:
     def test_accumulates_and_defaults_to_one(self):
         registry = MetricsRegistry()
-        registry.inc("testpoints")
-        registry.inc("testpoints")
+        registry.counter("testpoints").inc()
+        registry.counters.testpoints.inc()
         registry.counter("testpoints").inc(0.5)
         assert registry.counter("testpoints").value == 2.5
 
     def test_rejects_negative_increment(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="must be >= 0"):
-            registry.inc("x", -1.0)
+            registry.counter("x").inc(-1.0)
 
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("g") is registry.gauge("g")
         assert registry.histogram("h") is registry.histogram("h")
+
+    def test_attribute_views_look_each_name_up_once(self):
+        registry = MetricsRegistry()
+        assert registry.snapshot()["counters"] == {}
+        counter = registry.counters.testpoints
+        assert counter is registry.counter("testpoints")
+        assert registry.counters.testpoints is counter
+        assert registry.gauges.backoff_level is registry.gauge("backoff_level")
+        # Listed from first access, as a direct lookup would be; nothing else.
+        assert list(registry.snapshot()["counters"]) == ["testpoints"]
+        assert list(registry.snapshot()["gauges"]) == ["backoff_level"]
+        with pytest.raises(AttributeError):
+            registry.counters._private
 
 
 class TestGauge:
@@ -78,7 +91,7 @@ class TestHistogram:
 class TestSnapshot:
     def test_snapshot_is_json_safe_and_complete(self):
         registry = MetricsRegistry()
-        registry.inc("testpoints", 3)
+        registry.counters.testpoints.inc(3)
         registry.gauge("target_rate").set(9.5)
         registry.histogram("suspension_delay", buckets=(1.0, 2.0)).observe(1.5)
         snap = registry.snapshot()
@@ -97,5 +110,5 @@ class TestSnapshot:
 
     def test_no_duty_cycle_without_standard_counters(self):
         registry = MetricsRegistry()
-        registry.inc("testpoints")
+        registry.counters.testpoints.inc()
         assert "duty_cycle" not in registry.snapshot()["derived"]

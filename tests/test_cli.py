@@ -57,7 +57,9 @@ class TestFigures:
 class TestObsSummarize:
     @pytest.fixture()
     def trace_path(self, tmp_path):
-        from repro.obs import JsonlSink, MetricsRegistry, Telemetry
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.sinks import JsonlSink
+        from repro.obs.telemetry import Telemetry
 
         from .obs.test_telemetry_regulator import run_episode
 
@@ -352,6 +354,39 @@ class TestDaemonCli:
         )
         assert code == 2
         assert "not KIND:NAME" in capsys.readouterr().err
+
+
+class TestNumericArguments:
+    """A scale, duration or seed count that means nothing is a usage error."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "figures --scale 0",
+            "figures --scale -1",
+            "figures --scale nan",
+            "figures --hours 0",
+            "figures --hours nan",
+            "profile defrag_idle --scale 0",
+            "profile defrag_idle --scale -1",
+            "profile defrag_idle --scale nan",
+            "verify run --seeds 0",
+            "verify run --seeds -1",
+            "daemon soak --seeds 0",
+        ],
+    )
+    def test_rejected_at_parse_time(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # nothing may be written, but keep it out of the repo
+        argv = command.split()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {argv[-2]}:" in errors[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExp:

@@ -17,7 +17,8 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.runner import run_trials
 from repro.experiments.scenarios import MEASURED_SCENARIOS, measured_trial
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 
 #: Tiny geometry so a full parity matrix stays in test-suite time.
 SCALE = 0.01
@@ -30,8 +31,8 @@ def _double(seed):
 
 def _counting_trial(seed, telemetry=None):
     """Picklable trial that reports per-trial counters via telemetry."""
-    telemetry.metrics.inc("trials.run")
-    telemetry.metrics.inc("trials.seedsum", float(seed))
+    telemetry.metrics.counter("trials.run").inc()
+    telemetry.metrics.counter("trials.seedsum").inc(float(seed))
     return seed * 2
 
 

@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.controller import ThreadRegulator
 from repro.core.suspension import SuspensionTimer
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink
+from repro.obs.telemetry import Telemetry
 from repro.simos.engine import Engine
 from repro.verify.harness import (
     INVARIANT_DRIVES,
