@@ -883,19 +883,23 @@ def main(argv: list[str] | None = None) -> int:
         "--min-testpoint-interval", dest="min_testpoint_interval", type=float
     )
     serve.add_argument(
-        "--heartbeat-interval", dest="heartbeat_interval", type=float, default=1.0,
+        "--heartbeat-interval", dest="heartbeat_interval", default=1.0,
+        type=_checked(check_scale, "heartbeat_interval"),
         help="seconds between wait/liveness beats (default 1.0)",
     )
     serve.add_argument(
-        "--heartbeat-timeout", dest="heartbeat_timeout", type=float, default=5.0,
+        "--heartbeat-timeout", dest="heartbeat_timeout", default=5.0,
+        type=_checked(check_scale, "heartbeat_timeout"),
         help="silence after which a non-parked worker is evicted (default 5.0)",
     )
     serve.add_argument(
-        "--journal-interval", dest="journal_interval", type=float, default=1.0,
+        "--journal-interval", dest="journal_interval", default=1.0,
+        type=_checked(check_scale, "journal_interval"),
         help="seconds between write-ahead journal appends (default 1.0)",
     )
     serve.add_argument(
-        "--save-interval", dest="save_interval", type=float, default=30.0,
+        "--save-interval", dest="save_interval", default=30.0,
+        type=_checked(check_scale, "save_interval"),
         help="seconds between atomic snapshots + journal compaction (default 30)",
     )
     serve.add_argument(

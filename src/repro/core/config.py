@@ -26,12 +26,25 @@ from typing import Any, Mapping
 
 from repro.core.errors import ConfigError
 
-__all__ = ["MannersConfig", "DEFAULT_CONFIG"]
+__all__ = ["MannersConfig", "DEFAULT_CONFIG", "check_interval"]
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def check_interval(name: str, value: float) -> float:
+    """Return ``value``, a period in seconds, if it is finite and > 0.
+
+    A zero period makes a periodic loop spin, and a NaN or infinite one
+    makes it never fire; either raises :class:`ConfigError` naming ``name``.
+    """
+    _require(
+        math.isfinite(value) and value > 0,
+        f"{name} must be a finite number > 0, got {value!r}",
+    )
+    return value
 
 
 @dataclass(frozen=True, slots=True)

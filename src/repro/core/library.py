@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.clock import Clock, MonotonicClock
-from repro.core.config import DEFAULT_CONFIG, MannersConfig
+from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
 from repro.core.controller import TestpointDecision, ThreadRegulator
 from repro.core.persistence import TargetStore
 
@@ -70,7 +70,7 @@ class Manners:
         self._regulator = ThreadRegulator(config)
         self._app_id = app_id
         self._store = store
-        self._save_interval = save_interval
+        self._save_interval = check_interval("save_interval", save_interval)
         self._last_save = self._clock.now()
         if store is not None and app_id is not None:
             persisted = store.load(app_id)

@@ -53,10 +53,10 @@ import os
 import signal
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import __version__
-from repro.core.config import DEFAULT_CONFIG, MannersConfig
+from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
 from repro.core.errors import MetricError, PersistenceError
 from repro.core.persistence import TargetStore
 from repro.core.supervisor import Supervisor
@@ -71,7 +71,6 @@ from repro.daemon.protocol import (
 )
 from repro.faults.plan import FaultPlan
 from repro.obs import events as obs_events
-from repro.realtime.deadlines import DeadlineQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
@@ -169,8 +168,11 @@ class RegulatorDaemon:
         fsync_journal: bool = True,
         restart_backoff: float = 0.25,
         restart_backoff_cap: float = 5.0,
-        engine_core: str | None = None,
     ) -> None:
+        self.heartbeat_interval = check_interval("heartbeat_interval", heartbeat_interval)
+        self.heartbeat_timeout = check_interval("heartbeat_timeout", heartbeat_timeout)
+        self.save_interval = check_interval("save_interval", save_interval)
+        self.journal_interval = check_interval("journal_interval", journal_interval)
         self.socket_path = socket_path
         self._config = config
         self._telemetry = telemetry
@@ -190,16 +192,8 @@ class RegulatorDaemon:
         self._worker_specs = list(workers)
         self._chaos_plan = chaos_plan
         self.chaos = ChaosState()
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.save_interval = save_interval
-        self.journal_interval = journal_interval
         self._restart_backoff = restart_backoff
         self._restart_backoff_cap = restart_backoff_cap
-        #: Which event core orders the daemon's periodic deadlines
-        #: (``None`` consults ``REPRO_ENGINE``, heap by default) — the
-        #: deployable path runs the same core as the simulator.
-        self.engine_core = engine_core
 
         self._sessions: dict[str, _Session] = {}
         self._worker_procs: dict[str, asyncio.subprocess.Process] = {}
@@ -264,10 +258,13 @@ class RegulatorDaemon:
                     )
         self._tasks = [
             asyncio.create_task(self._scheduler_loop()),
-            asyncio.create_task(self._liveness_loop()),
+            asyncio.create_task(self._every(self.heartbeat_interval, self._liveness_sweep)),
         ]
         if self._store is not None:
-            self._tasks.append(asyncio.create_task(self._persistence_loop()))
+            self._tasks += [
+                asyncio.create_task(self._every(self.journal_interval, self._journal_sweep)),
+                asyncio.create_task(self._every(self.save_interval, self._persist_all)),
+            ]
         if self._chaos_plan is not None and len(self._chaos_plan):
             self._tasks.append(asyncio.create_task(self._chaos_loop()))
         for spec in self._worker_specs:
@@ -695,23 +692,16 @@ class RegulatorDaemon:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self._kick.wait(), timeout)
 
-    async def _liveness_loop(self) -> None:
-        """Evict workers that owe a testpoint and have gone silent."""
-        deadlines = DeadlineQueue(self.engine_core)
-
-        def sweep() -> None:
-            self._liveness_sweep()
-            deadlines.schedule(self.heartbeat_interval, sweep)
-
-        deadlines.schedule(self.heartbeat_interval, sweep)
-        while not self._stopping:
-            wait = deadlines.next_wait()
-            await asyncio.sleep(
-                wait if wait is not None else self.heartbeat_interval
-            )
-            deadlines.poll()
+    async def _every(self, interval: float, action: Callable[[], None]) -> None:
+        """Run ``action()`` every ``interval`` seconds until the drain."""
+        while True:
+            await asyncio.sleep(interval)
+            if self._stopping:
+                return
+            action()
 
     def _liveness_sweep(self) -> None:
+        """Evict workers that owe a testpoint and have gone silent."""
         now = self._now()
         for session in list(self._sessions.values()):
             if session.parked or session.closed:
@@ -728,31 +718,10 @@ class RegulatorDaemon:
                 self._emit_recovery("worker_evicted", detail=session.name)
                 self._cleanup_session(session, expected=True)
 
-    async def _persistence_loop(self) -> None:
-        """Journal changed calibration; snapshot + compact on the interval.
-
-        Both cadences — the fast journal sweep and the slow snapshot —
-        are deadlines on one :class:`DeadlineQueue`, so the engine core
-        selected by ``REPRO_ENGINE`` orders them and the snapshot no
-        longer piggybacks on journal-sweep arithmetic.
-        """
-        deadlines = DeadlineQueue(self.engine_core)
-
-        def journal_sweep() -> None:
-            for session in list(self._sessions.values()):
-                self._journal_session(session)
-            deadlines.schedule(self.journal_interval, journal_sweep)
-
-        def snapshot() -> None:
-            self._persist_all()
-            deadlines.schedule(self.save_interval, snapshot)
-
-        deadlines.schedule(self.journal_interval, journal_sweep)
-        deadlines.schedule(self.save_interval, snapshot)
-        while not self._stopping:
-            wait = deadlines.next_wait()
-            await asyncio.sleep(wait if wait is not None else self.journal_interval)
-            deadlines.poll()
+    def _journal_sweep(self) -> None:
+        """Journal every session whose calibration changed."""
+        for session in list(self._sessions.values()):
+            self._journal_session(session)
 
     def _journal_session(self, session: _Session) -> None:
         if self._journal is None or not session.registered:

@@ -33,14 +33,13 @@ import threading
 import time
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.config import DEFAULT_CONFIG, MannersConfig
+from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
 from repro.core.controller import TestpointDecision
 from repro.core.errors import PersistenceError, RegulationStateError
 from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
 from repro.obs import events as obs_events
-from repro.realtime.deadlines import DeadlineQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
@@ -63,10 +62,10 @@ class RealTimeRegulator:
         process_id: object = None,
         telemetry: "Telemetry | None" = None,
         save_interval: float = 300.0,
-        engine_core: str | None = None,
     ) -> None:
         if (app_id is None) != (store is None):
             raise ValueError("app_id and store must be provided together")
+        self._save_interval = check_interval("save_interval", save_interval)
         self._config = config
         self._telemetry = telemetry
         self._supervisor = Supervisor(
@@ -79,14 +78,8 @@ class RealTimeRegulator:
         self._cond = threading.Condition(self._lock)
         self._app_id = app_id
         self._store = store
-        self._save_interval = save_interval
-        #: Periodic-save deadlines ride the same event core the simulator
-        #: uses (``engine_core=None`` consults ``REPRO_ENGINE``, heap by
-        #: default), so the deployable path exercises whichever core is
-        #: selected.
-        self._deadlines = DeadlineQueue(engine_core)
-        if store is not None:
-            self._deadlines.schedule(self._save_interval, self._periodic_save)
+        #: Monotonic time of the next periodic target save.
+        self._next_save = time.monotonic() + self._save_interval
         self._closed = False
         #: Signals whose handlers :meth:`install_signal_handlers` replaced,
         #: mapped to the handlers they displaced (for chaining/uninstall).
@@ -297,12 +290,10 @@ class RealTimeRegulator:
     def _maybe_save_locked(self) -> None:
         if self._store is None:
             return
-        # Fires _periodic_save when its deadline has passed (lock held).
-        self._deadlines.poll()
-
-    def _periodic_save(self) -> None:
-        self._save_locked()
-        self._deadlines.schedule(self._save_interval, self._periodic_save)
+        now = time.monotonic()
+        if now >= self._next_save:
+            self._next_save = now + self._save_interval
+            self._save_locked()
 
     def _save_locked(self) -> None:
         if self._store is None or self._app_id is None:

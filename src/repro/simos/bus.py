@@ -17,8 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.simos.engine import SimulationError
-from repro.simos.wheel import EventCore
+from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["BusStats", "Bus"]
 
@@ -42,7 +41,7 @@ class Bus:
 
     __slots__ = ("_engine", "_post_after", "bandwidth", "name", "_busy", "_queue", "stats")
 
-    def __init__(self, engine: EventCore, bandwidth: float, name: str = "scsi0") -> None:
+    def __init__(self, engine: Engine, bandwidth: float, name: str = "scsi0") -> None:
         if bandwidth <= 0:
             raise SimulationError(f"bus bandwidth must be positive, got {bandwidth}")
         self._engine = engine

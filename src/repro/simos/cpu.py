@@ -26,8 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from repro.simos.engine import EventHandle, SimulationError
-from repro.simos.wheel import EventCore
+from repro.simos.engine import Engine, EventHandle, SimulationError
 
 __all__ = ["CpuPriority", "CpuStats", "CPU"]
 
@@ -79,7 +78,7 @@ class CPU:
         "stats",
     )
 
-    def __init__(self, engine: EventCore, quantum: float = 0.02) -> None:
+    def __init__(self, engine: Engine, quantum: float = 0.02) -> None:
         if quantum <= 0:
             raise SimulationError(f"quantum must be positive, got {quantum}")
         self._engine = engine

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.simos.bus import Bus
-from repro.simos.engine import SimulationError
-from repro.simos.wheel import EventCore
+from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["DiskParams", "DiskStats", "DiskRequest", "Disk"]
 
@@ -169,7 +168,7 @@ class Disk:
 
     def __init__(
         self,
-        engine: EventCore,
+        engine: Engine,
         name: str = "disk0",
         params: DiskParams | None = None,
         bus: Bus | None = None,

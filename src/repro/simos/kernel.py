@@ -35,7 +35,6 @@ with :class:`DiskFault` delivered into the issuing thread.
 from __future__ import annotations
 
 import enum
-import os
 from typing import Any, Callable, Generator, Iterable
 
 from repro.simos.bus import Bus
@@ -53,52 +52,8 @@ from repro.simos.effects import (
     Yield,
 )
 from repro.simos.engine import Engine, SimulationError
-from repro.simos.wheel import WheelEngine
 
-__all__ = ["ThreadState", "SimThread", "Kernel", "DiskFault", "make_engine"]
-
-#: Event-core registry for :func:`make_engine`.  ``heap`` is the default:
-#: every paper scenario simulates one machine with a few dozen pending
-#: timers, where the binary heap runs each trial ~10% faster than the
-#: wheel.  ``wheel`` is opt-in (``REPRO_ENGINE=wheel``); it wins only on
-#: dense synthetic timer fleets — see "The timing-wheel event core" in
-#: docs/performance.md.  Both fire identical event sequences — the verify
-#: wheel oracle holds them to bit-identical logs.
-ENGINE_CORES = {"heap": Engine, "wheel": WheelEngine}
-
-
-def make_engine(core: str | None = None):
-    """Build an event core from a spec: ``heap`` (default) or ``wheel``.
-
-    ``core=None`` falls back to the ``REPRO_ENGINE`` environment variable,
-    then to ``heap`` — so a whole experiment sweep can be flipped onto
-    the wheel core without touching call sites.  The wheel accepts an
-    optional pinned resolution suffix, ``wheel:<bits>`` (e.g.
-    ``REPRO_ENGINE=wheel:10`` for 1/1024 s ticks), which also disables
-    the online adaptation exactly as ``WheelEngine(resolution_bits=10)``
-    does.
-    """
-    spec = core or os.environ.get("REPRO_ENGINE") or "heap"
-    name, _, suffix = spec.partition(":")
-    try:
-        cls = ENGINE_CORES[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown engine core {spec!r}; choose from {sorted(ENGINE_CORES)}"
-        ) from None
-    if not suffix:
-        return cls()
-    if cls is not WheelEngine:
-        raise SimulationError(
-            f"engine core {name!r} takes no resolution suffix, got {spec!r}"
-        )
-    try:
-        bits = int(suffix)
-    except ValueError:
-        raise SimulationError(
-            f"engine core suffix must be an integer resolution, got {spec!r}"
-        ) from None
-    return WheelEngine(resolution_bits=bits)
+__all__ = ["ThreadState", "SimThread", "Kernel", "DiskFault"]
 
 
 class DiskFault(SimulationError):
@@ -222,9 +177,8 @@ class Kernel:
         seed: int = 0,
         cpu_quantum: float = 0.02,
         bus_bandwidth: float | None = DEFAULT_BUS_BANDWIDTH,
-        engine_core: str | None = None,
     ) -> None:
-        self.engine = make_engine(engine_core)
+        self.engine = Engine()
         #: Bound hot-path scheduler, cached so effect dispatch skips the
         #: ``self.engine.post_after`` attribute chain on every effect.
         self._post_after = self.engine.post_after

@@ -26,8 +26,7 @@ import random
 from dataclasses import dataclass
 
 from repro.simos.effects import Effect
-from repro.simos.engine import SimulationError
-from repro.simos.wheel import EventCore
+from repro.simos.engine import Engine, SimulationError
 from repro.simos.kernel import Kernel, SimThread
 
 __all__ = ["TouchMemory", "MemoryManager"]
@@ -59,7 +58,7 @@ class MemoryManager:
 
     def __init__(
         self,
-        engine: EventCore,
+        engine: Engine,
         frames: int,
         fault_service: float = 0.008,
         seed: int = 0,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.simos.effects import Effect
-from repro.simos.engine import SimulationError
-from repro.simos.wheel import EventCore
+from repro.simos.engine import Engine, SimulationError
 from repro.simos.kernel import Kernel, SimThread
 
 __all__ = ["NetSend", "NetworkStats", "NetworkLink"]
@@ -70,7 +69,7 @@ class NetworkLink:
 
     def __init__(
         self,
-        engine: EventCore,
+        engine: Engine,
         name: str = "uplink",
         bandwidth: float = 1_250_000.0,  # 10 Mb/s in bytes/s
         latency: float = 0.005,

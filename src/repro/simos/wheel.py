@@ -69,13 +69,12 @@ from typing import Any, Callable, Iterator
 from repro.simos.engine import (
     _COMPACT_MIN_STALE,
     TICK_INDEX_LIMIT,
-    Engine,
     EventHandle,
     SimulationError,
     clamp_horizon,
 )
 
-__all__ = ["WheelEngine", "EventCore"]
+__all__ = ["WheelEngine"]
 
 _INF = float("inf")
 
@@ -1083,9 +1082,3 @@ class WheelEngine:
         self._ready.clear()
         self._buf.clear()
         self._stale = 0
-
-
-#: Either event core.  The heap engine and the wheel engine share one
-#: scheduling/execution contract (verified bit-identical by the wheel
-#: oracle), so device models and the kernel accept both interchangeably.
-EventCore = Engine | WheelEngine

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.clock import ManualClock
+from repro.core.errors import ConfigError
 from repro.core.library import Manners
 from repro.core.persistence import TargetStore
 from repro.core.signtest import Judgment
@@ -91,3 +92,12 @@ class TestPersistenceFlow:
         )
         drive_manners(manners, clock, rate=100.0, steps=100)  # 10+ seconds
         assert store.load("app") is not None  # saved without close()
+
+    @pytest.mark.parametrize("interval", [0.0, -5.0, float("nan"), float("inf")])
+    def test_save_interval_must_be_finite_and_positive(self, fast_config, tmp_path, interval):
+        # NaN or inf never saved periodically; zero saved on every testpoint.
+        with pytest.raises(ConfigError, match="save_interval"):
+            Manners(
+                fast_config, app_id="app", store=TargetStore(tmp_path),
+                save_interval=interval,
+            )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import ConfigError
 from repro.daemon.client import ControlClient, DaemonClient
 from repro.daemon.journal import StateJournal, state_digest
 from repro.daemon.protocol import decode_frame, encode_frame
@@ -217,3 +218,56 @@ class TestPersistence:
                 with ControlClient(live.socket_path) as control:
                     digests = control.request("digest")
         assert digests["journal"]["app"] == record.digest
+
+
+def _counters_when(live: LiveDaemon, ready, timeout: float = 5.0) -> dict:
+    """Poll the daemon's status until ``ready(counters)``; return the counters."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with ControlClient(live.socket_path) as control:
+            counters = control.request("status")["counters"]
+        if ready(counters) or time.monotonic() > deadline:
+            return counters
+        time.sleep(0.05)
+
+
+class TestPeriodicCadences:
+    """The journal sweep and the snapshot each run on their own interval."""
+
+    @pytest.mark.parametrize(
+        "name", ["heartbeat_interval", "heartbeat_timeout", "journal_interval", "save_interval"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_interval_must_be_finite_and_positive(self, rundir, name, value):
+        # Zero made a background loop spin; NaN killed it or, as a timeout,
+        # never evicted anyone; inf never fired.
+        with pytest.raises(ConfigError, match=name):
+            RegulatorDaemon(str(rundir / "d.sock"), **{name: value})
+
+    def test_journal_sweeps_without_waiting_for_a_snapshot(self, rundir):
+        with LiveDaemon(
+            rundir, state_dir=str(rundir / "state"), journal_interval=0.05,
+            save_interval=3600.0, fsync_journal=False,
+        ) as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
+                client.testpoint([1.0])
+                counters = _counters_when(live, lambda c: c["journal_appends"] >= 1)
+        assert counters["journal_appends"] >= 1
+        assert counters["snapshots"] == 0
+
+    def test_snapshots_without_waiting_for_a_journal_sweep(self, rundir):
+        # save_interval < journal_interval: a loop that snapshots only after
+        # a journal sweep takes no snapshot within the hour.
+        started = time.monotonic()
+        with LiveDaemon(
+            rundir, state_dir=str(rundir / "state"), journal_interval=3600.0,
+            save_interval=0.1, fsync_journal=False,
+        ) as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
+                client.testpoint([1.0])
+                counters = _counters_when(live, lambda c: c["snapshots"] >= 3)
+                elapsed = time.monotonic() - started
+        assert counters["snapshots"] >= 3
+        # One application, so one save per snapshot, and none before its time.
+        assert counters["snapshots"] <= elapsed / 0.1 + 1
+        assert counters["journal_appends"] == 0

@@ -1,9 +1,8 @@
-"""One simulation on either event core; the binary heap is the default.
+"""The paper scenarios' simulated outputs, pinned.
 
-Both cores share the kernel and device code, so agreeing with each other
-cannot catch a device change that reorders events.  The recorded outputs
-below can: they are the exact ``measured_trial`` results of the model as
-committed.  An intentional model change re-records them.
+The recorded outputs below are the exact ``measured_trial`` results of the
+model as committed, so a kernel, device or engine change that reorders
+events fails here.  An intentional model change re-records them.
 """
 
 from __future__ import annotations
@@ -11,9 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.scenarios import measured_trial
-from repro.realtime.deadlines import DeadlineQueue
-from repro.simos.engine import Engine
-from repro.simos.kernel import Kernel
 
 #: ``measured_trial(scenario, mode, seed, scale=0.05)``, recorded exactly.
 RECORDED = {
@@ -40,31 +36,8 @@ RECORDED = {
 }
 
 
-def test_heap_is_the_default_core(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert type(Kernel().engine) is Engine
-    assert type(DeadlineQueue().engine) is Engine
-
-
-@pytest.mark.parametrize("scenario,mode", [
-    ("defrag_idle", "unregulated"),
-    ("defrag_database", "MS Manners"),
-    ("defrag_database", "BeNice"),
-    ("groveler_setup", "MS Manners"),
-])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_paper_scenarios_identical_on_both_cores(monkeypatch, scenario, mode, seed):
-    results = {}
-    for core in ("heap", "wheel"):
-        monkeypatch.setenv("REPRO_ENGINE", core)
-        results[core] = measured_trial(scenario, mode, seed, scale=0.05)
-    assert results["heap"] == results["wheel"]
-    assert results["heap"]["events_fired"] > 0
-
-
 @pytest.mark.parametrize("key", sorted(RECORDED), ids=lambda key: "-".join(map(str, key)))
-def test_paper_scenarios_match_recorded_outputs(monkeypatch, key):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_paper_scenarios_match_recorded_outputs(key):
     scenario, mode, seed = key
     assert measured_trial(scenario, mode, seed, scale=0.05) == RECORDED[key], (
         "the simulated outputs changed; if the model change is intentional, "

@@ -368,63 +368,6 @@ class TestParityWithHeapEngine:
         assert engine._audit_slots() == []
 
 
-class TestKernelIntegration:
-    def test_make_engine_selects_core(self, monkeypatch):
-        from repro.simos.kernel import make_engine
-
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert isinstance(make_engine("wheel"), WheelEngine)
-        assert isinstance(make_engine("heap"), Engine)
-        # The heap is the default core: on the paper scenarios it runs each
-        # trial faster than the wheel, which stays opt-in.
-        assert isinstance(make_engine(), Engine)
-        with pytest.raises(SimulationError):
-            make_engine("calendar")
-
-    def test_make_engine_env_override(self, monkeypatch):
-        from repro.simos.kernel import make_engine
-
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert isinstance(make_engine(), Engine)
-        monkeypatch.setenv("REPRO_ENGINE", "wheel")
-        assert isinstance(make_engine(), WheelEngine)
-
-    def test_make_engine_resolution_suffix(self, monkeypatch):
-        from repro.simos.kernel import make_engine
-
-        engine = make_engine("wheel:10")
-        assert isinstance(engine, WheelEngine)
-        assert engine.resolution_bits == 10
-        assert engine._adaptive is False  # pinned resolution: no retuning
-        monkeypatch.setenv("REPRO_ENGINE", "wheel:5")
-        assert make_engine().resolution_bits == 5
-        with pytest.raises(SimulationError):
-            make_engine("heap:7")
-        with pytest.raises(SimulationError):
-            make_engine("wheel:fine")
-        with pytest.raises(SimulationError):
-            make_engine("wheel:99")
-
-    def test_kernel_runs_on_wheel_core(self):
-        from repro.simos.kernel import Kernel
-
-        kernel = Kernel(engine_core="wheel")
-        assert isinstance(kernel.engine, WheelEngine)
-        done = []
-
-        def worker():
-            from repro.simos.effects import Delay, UseCPU
-
-            yield UseCPU(0.01)
-            yield Delay(0.5)
-            yield UseCPU(0.02)
-            done.append(kernel.engine.now)
-
-        kernel.spawn("worker", worker())
-        kernel.run(until=5.0)
-        assert done and done[0] > 0.5
-
-
 class TestSparseBypass:
     def test_sparse_posts_live_in_ready_band(self):
         engine = WheelEngine()

@@ -357,7 +357,7 @@ class TestDaemonCli:
 
 
 class TestNumericArguments:
-    """A scale, duration or seed count that means nothing is a usage error."""
+    """A scale, duration, interval or seed count that means nothing is a usage error."""
 
     @pytest.mark.parametrize(
         "command",
@@ -373,6 +373,12 @@ class TestNumericArguments:
             "verify run --seeds 0",
             "verify run --seeds -1",
             "daemon soak --seeds 0",
+            "daemon serve --socket d.sock --duration 0.5 --heartbeat-interval 0",
+            "daemon serve --socket d.sock --duration 0.5 --heartbeat-interval nan",
+            "daemon serve --socket d.sock --duration 0.5 --heartbeat-timeout nan",
+            "daemon serve --socket d.sock --duration 0.5 --journal-interval -1",
+            "daemon serve --socket d.sock --duration 0.5 --save-interval 0",
+            "daemon serve --socket d.sock --duration 0.5 --save-interval inf",
         ],
     )
     def test_rejected_at_parse_time(self, command, tmp_path, monkeypatch, capsys):

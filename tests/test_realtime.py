@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.config import MannersConfig
-from repro.core.errors import RegulationStateError
+from repro.core.errors import ConfigError, RegulationStateError
 from repro.core.persistence import TargetStore
+from repro.realtime import adapter
 from repro.realtime.adapter import RealTimeRegulator
 
 FAST_RT = MannersConfig(
@@ -133,6 +135,29 @@ class TestPersistence:
     def test_app_id_requires_store(self):
         with pytest.raises(ValueError):
             RealTimeRegulator(FAST_RT, app_id="x")
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan"), float("inf")])
+    def test_save_interval_must_be_finite_and_positive(self, tmp_path, interval):
+        with pytest.raises(ConfigError, match="save_interval"):
+            RealTimeRegulator(
+                FAST_RT, app_id="x", store=TargetStore(tmp_path), save_interval=interval
+            )
+
+    def test_saves_once_per_elapsed_interval(self, monkeypatch):
+        now = 1000.0
+        monkeypatch.setattr(adapter, "time", SimpleNamespace(monotonic=lambda: now))
+        saved_at = []
+        store = SimpleNamespace(
+            load=lambda app_id: None,
+            save=lambda app_id, state: saved_at.append(now),
+        )
+        # Still bootstrapping throughout, so no testpoint is ever suspended.
+        config = FAST_RT.with_overrides(bootstrap_testpoints=1000)
+        regulator = RealTimeRegulator(config, app_id="app", store=store, save_interval=10.0)
+        for step in range(1, 70):  # a testpoint every 0.5 s for 34.5 s
+            now = 1000.0 + 0.5 * step
+            regulator.testpoint([float(step)])
+        assert saved_at == [1010.0, 1020.0, 1030.0]
 
 
 class TestSignalHandlers:

@@ -5,8 +5,10 @@ dependency (the reference the ridge solver is checked against), so
 importing the runtime must not pull it in.  Each entry point also loads
 only what it runs: package ``__init__`` modules import none of their
 submodules, so the regulator does not bring in the trial fan-out, the
-daemon's worker does not bring in the regulator, and the CLI loads a
-command's machinery only when that command runs.
+daemon's worker does not bring in the regulator, the wall-clock paths
+(the realtime adapter, the live BeNice, the daemon) do not bring in the
+simulator, and the CLI loads a command's machinery only when that
+command runs.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ UNWANTED = {
         "repro.experiments.spec", "repro.experiments.ablations",
         "repro.experiments.related", "repro.daemon", "repro.verify",
         "repro.faults", "repro.obs.report", "repro.simos.network",
-        "repro.simos.memory", "repro.apps.scanner", "repro.apps.backup",
-        "repro.apps.compressor", "repro.apps.archiver", "repro.apps.indexer",
+        "repro.simos.memory", "repro.simos.wheel", "repro.apps.scanner",
+        "repro.apps.backup", "repro.apps.compressor", "repro.apps.archiver",
+        "repro.apps.indexer",
     ),
     "repro.daemon.worker": (
         "repro.core.controller", "repro.simos", "asyncio", "multiprocessing",
     ),
+    "repro.daemon.server": ("repro.simos",),
+    "repro.realtime.adapter": ("repro.simos",),
+    "repro.realtime.posix_benice": ("repro.simos", "repro.benice.benice"),
     "repro.cli": ("multiprocessing", "repro.analysis", "repro.simos", "repro.experiments"),
 }
 
