@@ -20,7 +20,9 @@ value.  This module is the single parsing layer:
 
 The explicit-argument twins (:func:`parse_count`, :func:`check_scale`)
 apply the same validation to values passed programmatically, so a CLI
-``--jobs 0`` and a ``REPRO_JOBS=0`` fail with the same style of message.
+``--jobs 0`` and a ``REPRO_JOBS=0`` fail with the same style of message;
+:func:`check_duration` is the CLI's run-length check, where 0 means "no
+limit".
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "env_scale",
     "parse_count",
     "check_scale",
+    "check_duration",
 ]
 
 #: Accepted spellings for boolean environment flags (lowercased).
@@ -86,6 +89,20 @@ def check_scale(value: float, source: str = "scale") -> float:
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(
             f"{source} must be a finite number > 0, got {value!r}"
+        )
+    return value
+
+
+def check_duration(value: float, source: str = "duration") -> float:
+    """Require a finite, non-negative run length (0 means no limit).
+
+    A NaN deadline is never reached and a negative one reads as "no
+    limit", so both would run until signalled instead of failing.
+    """
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(
+            f"{source} must be a finite number >= 0, got {value!r}"
         )
     return value
 

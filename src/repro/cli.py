@@ -763,7 +763,7 @@ def _checked(check, source: str):
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    from repro.analysis.env import check_scale, parse_count
+    from repro.analysis.env import check_duration, check_scale, parse_count
 
     parser = argparse.ArgumentParser(
         prog="repro", description="MS Manners reproduction toolkit"
@@ -792,7 +792,10 @@ def main(argv: list[str] | None = None) -> int:
     benice.add_argument(
         "--min-testpoint-interval", dest="min_testpoint_interval", type=float
     )
-    benice.add_argument("--duration", type=float, default=0.0, help="stop after N s")
+    benice.add_argument(
+        "--duration", type=_checked(check_duration, "duration"), default=0.0,
+        help="stop after N s (default 0: no limit)",
+    )
     benice.add_argument("--verbose", action="store_true")
     benice.add_argument(
         "--trace-out", dest="trace_out", default=None,
@@ -868,8 +871,8 @@ def main(argv: list[str] | None = None) -> int:
         "supervise (e.g. groveler:g1,compressor:c1)",
     )
     serve.add_argument(
-        "--duration", type=float, default=0.0,
-        help="drain after N seconds (default: run until signalled)",
+        "--duration", type=_checked(check_duration, "duration"), default=0.0,
+        help="drain after N seconds (default 0: run until signalled)",
     )
     serve.add_argument(
         "--fast", action="store_true",
@@ -938,7 +941,7 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep seeds 1..N (default 3)",
     )
     soak.add_argument(
-        "--duration", type=float, default=60.0,
+        "--duration", type=_checked(check_scale, "duration"), default=60.0,
         help="seconds of chaos per run (default 60)",
     )
     soak.add_argument(

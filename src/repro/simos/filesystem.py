@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.simos.engine import SimulationError
 
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Extent:
+class Extent(NamedTuple):
     """A contiguous run of volume blocks."""
 
     start: int
@@ -79,8 +78,7 @@ class SimFile:
         return len(self.extents)
 
 
-@dataclass(frozen=True, slots=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     """One entry of the USN-style change journal."""
 
     usn: int
@@ -92,7 +90,7 @@ class ChangeRecord:
 class Volume:
     """A filesystem volume over a block range of one disk."""
 
-    __slots__ = ("name", "disk", "start_block", "total_blocks", "block_size", "_files", "_by_path", "_starts", "_counts", "_free_total", "_journal", "_next_file_id", "_next_usn")
+    __slots__ = ("name", "disk", "start_block", "total_blocks", "block_size", "_files", "_by_path", "_links", "_starts", "_counts", "_free_total", "_journal", "_next_file_id", "_next_usn")
 
     def __init__(
         self,
@@ -118,6 +116,8 @@ class Volume:
         self._free_total = total_blocks
         self._files: dict[int, SimFile] = {}
         self._by_path: dict[str, int] = {}
+        # Keeper file id -> number of files SIS-linked to it (absent at 0).
+        self._links: dict[int, int] = {}
         self._next_file_id = 1
         self._next_usn = 1
         self._journal: list[ChangeRecord] = []
@@ -206,7 +206,14 @@ class Volume:
             )
         fragments = max(1, min(fragments, blocks))
         piece_sizes = self._split_sizes(blocks, fragments)
-        rng = random.Random(spread_seed) if spread_seed is not None else None
+        # Carving never adds a run, so from a one-run free list every piece
+        # has at most one candidate and the seeded random fit is a first
+        # fit: the rng would be seeded only to draw from one-element lists.
+        rng = (
+            random.Random(spread_seed)
+            if spread_seed is not None and len(self._starts) > 1
+            else None
+        )
         out: list[Extent] = []
         try:
             for size in piece_sizes:
@@ -228,11 +235,16 @@ class Volume:
         # which is how fragmented (aged) layouts are manufactured.  The rng
         # must see every fit, so it chooses from the full candidate list.
         counts = self._counts
+        index = -1
         if rng is None:
-            index = next((i for i, count in enumerate(counts) if count >= size), -1)
+            for i, count in enumerate(counts):
+                if count >= size:
+                    index = i
+                    break
         else:
             candidates = [i for i, count in enumerate(counts) if count >= size]
-            index = rng.choice(candidates) if candidates else -1
+            if candidates:
+                index = rng.choice(candidates)
         if index < 0:
             raise SimulationError(
                 f"volume {self.name}: no contiguous run of {size} blocks "
@@ -311,6 +323,7 @@ class Volume:
         if f.sis_link is not None:
             blocks = max(1, -(-f.size // self.block_size))
             f.extents = self.allocate(blocks, fragments=1)
+            self._unlink(f.sis_link)
             f.sis_link = None
         f.mtime = when
         if new_content_id is not None:
@@ -318,8 +331,18 @@ class Volume:
         self._log(file_id, "modify", when)
 
     def delete_file(self, file_id: int, when: float) -> None:
-        """Delete a file, freeing its blocks; logs a journal record."""
+        """Delete a file, freeing its blocks; logs a journal record.
+
+        A keeper that other files still link to holds their only copy, so
+        deleting it is refused and nothing changes.
+        """
         f = self.file(file_id)
+        if file_id in self._links:
+            raise SimulationError(
+                f"file {file_id} is the keeper of {self._links[file_id]} linked files"
+            )
+        if f.sis_link is not None:
+            self._unlink(f.sis_link)
         self.free(f.extents)
         del self._files[file_id]
         del self._by_path[f.path]
@@ -351,8 +374,17 @@ class Volume:
         self.free(dup.extents)
         dup.extents = []
         dup.sis_link = into_file_id
+        self._links[into_file_id] = self._links.get(into_file_id, 0) + 1
         self._log(file_id, "merge", when)
         return reclaimed
+
+    def _unlink(self, keeper_id: int) -> None:
+        """Count one fewer file linked to ``keeper_id``."""
+        left = self._links[keeper_id] - 1
+        if left:
+            self._links[keeper_id] = left
+        else:
+            del self._links[keeper_id]
 
     # -- I/O planning -------------------------------------------------------------------------
     def read_plan(self, file_id: int, chunk_bytes: int = 65536) -> list[tuple[int, int]]:
@@ -392,14 +424,13 @@ class Volume:
         f = self.file(file_id)
         if f.fragments <= 1 or f.sis_link is not None:
             return None
-        blocks = f.blocks
-        if self.largest_free_extent() < blocks:
-            return None
+        try:
+            target = self._allocate_piece(f.blocks, None)
+        except SimulationError:
+            return None  # No free run holds the whole file.
         reads = self.read_plan(file_id, chunk_bytes)
-        new_extents = self.allocate(blocks, fragments=1)
         chunk_blocks = max(1, chunk_bytes // self.block_size)
         writes: list[tuple[int, int]] = []
-        target = new_extents[0]
         offset = 0
         remaining_bytes = f.size
         while offset < target.count and remaining_bytes > 0:
@@ -408,7 +439,7 @@ class Volume:
             writes.append((self.to_disk_block(target.start + offset), nbytes))
             remaining_bytes -= nbytes
             offset += run
-        return reads, writes, new_extents
+        return reads, writes, [target]
 
     def commit_relocation(self, file_id: int, new_extents: list[Extent], when: float) -> None:
         """Finish a relocation: free old extents, install the new layout."""

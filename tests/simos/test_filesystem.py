@@ -263,6 +263,37 @@ class TestSisMerge:
         assert vol.read_plan(b.file_id) == vol.read_plan(a.file_id)
         assert vol.journal_since(usn) == []
 
+    def test_delete_linked_keeper_rejected(self):
+        # Deleting a keeper would free the only copy of its linked files.
+        vol = make_volume(blocks=100)
+        a = vol.create_file("a", 10 * 4096, when=0.0, content_id=7)
+        b = vol.create_file("b", 10 * 4096, when=0.0, content_id=7)
+        vol.merge_duplicate(b.file_id, a.file_id, when=1.0)
+        usn = vol.last_usn
+        with pytest.raises(SimulationError, match="keeper"):
+            vol.delete_file(a.file_id, when=2.0)
+        assert vol.free_blocks == 90
+        assert vol.file(a.file_id).extents == [Extent(0, 10)]
+        assert vol.file(b.file_id).sis_link == a.file_id
+        assert vol.read_plan(b.file_id) == vol.read_plan(a.file_id) != []
+        assert vol.journal_since(usn) == []
+
+    def test_keeper_deletable_once_links_are_gone(self):
+        vol = make_volume(blocks=100)
+        a = vol.create_file("a", 10 * 4096, when=0.0, content_id=7)
+        b = vol.create_file("b", 10 * 4096, when=0.0, content_id=7)
+        c = vol.create_file("c", 10 * 4096, when=0.0, content_id=7)
+        vol.merge_duplicate(b.file_id, a.file_id, when=1.0)
+        vol.merge_duplicate(c.file_id, a.file_id, when=1.0)
+        vol.delete_file(b.file_id, when=2.0)
+        with pytest.raises(SimulationError, match="keeper"):
+            vol.delete_file(a.file_id, when=2.0)
+        vol.modify_file(c.file_id, when=3.0)
+        vol.delete_file(a.file_id, when=4.0)
+        assert vol.file_count == 1
+        assert vol.used_blocks == vol.file(c.file_id).blocks == 10
+        assert vol.read_plan(c.file_id) != []
+
 
 class TestPopulate:
     def test_populate_respects_parameters(self):
@@ -349,14 +380,34 @@ class ListVolume(Volume):
     """Reference free space: a plain address-sorted list of ``Extent``.
 
     The straightforward allocator: every fit is collected before the first
-    is taken, and each free rebuilds the list of starts to bisect.  Only
-    the free-space methods are replaced, so both volumes share the file
-    operations and the all-or-nothing ``allocate``.
+    is taken, and each free rebuilds the list of starts to bisect.  The
+    free-space methods are replaced, and so is ``allocate``: this one seeds
+    the spread rng whenever a seed is given, so the volume's one-run
+    shortcut is checked against the draw it skips.  Both volumes share the
+    file operations.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.runs = [Extent(0, self.total_blocks)]
+
+    def allocate(self, blocks, fragments=1, spread_seed=None):
+        if blocks <= 0:
+            raise SimulationError(f"allocation must be positive, got {blocks}")
+        if blocks > self.free_blocks:
+            raise SimulationError(
+                f"volume {self.name} full: need {blocks}, have {self.free_blocks}"
+            )
+        fragments = max(1, min(fragments, blocks))
+        rng = random.Random(spread_seed) if spread_seed is not None else None
+        out = []
+        try:
+            for size in self._split_sizes(blocks, fragments):
+                out.append(self._allocate_piece(size, rng))
+        except SimulationError:
+            self.free(out)
+            raise
+        return out
 
     @property
     def free_blocks(self) -> int:
@@ -397,7 +448,18 @@ class ListVolume(Volume):
 
 
 def free_runs(vol: Volume) -> list[Extent]:
+    if isinstance(vol, ListVolume):
+        return vol.runs
     return [Extent(s, c) for s, c in zip(vol._starts, vol._counts)]
+
+
+def layout(vol: Volume) -> tuple:
+    """Everything allocation decides: file extents, free runs, journal."""
+    return (
+        [(f.file_id, f.extents) for f in vol.files()],
+        free_runs(vol),
+        vol.journal_since(0),
+    )
 
 
 def apply_op(vol: Volume, op: tuple, step: int):
@@ -475,3 +537,36 @@ class TestFreeSpaceDifferential:
             assert not runs or (runs[0].start >= 0 and runs[-1].end <= total_blocks)
             assert sum(r.count for r in runs) == vol.free_blocks
             assert vol.used_blocks == sum(f.blocks for f in vol.files())
+
+    def test_populated_volume_matches_list_reference(self):
+        # The Fig volumes: 640 aged files from a one-run free list, then a
+        # second seeded tree drawn among the holes the fillers left.
+        vol = Volume("C", "C", total_blocks=700_000)
+        ref = ListVolume("C", "C", total_blocks=700_000)
+        for volume in (vol, ref):
+            rng = random.Random(1 * 7919 + 13)
+            populate_volume(
+                volume, rng, file_count=640,
+                size_range=(32 * 1024, 480 * 1024), fragment_range=(2, 10),
+            )
+            assert len(free_runs(volume)) > 2
+            for i in range(200):
+                volume.create_file(
+                    f"tree2/file{i:05d}", rng.randint(32 * 1024, 480 * 1024),
+                    when=0.0, fragments=rng.randint(2, 10),
+                    spread_seed=rng.randrange(1 << 30),
+                )
+        assert layout(vol) == layout(ref)
+
+    @pytest.mark.parametrize("spread_seed", range(8))
+    def test_two_run_draw_matches_list_reference(self, spread_seed):
+        # Free runs [0, 30) and [40, 100): both fit every piece, so the
+        # seeded draw decides where each one goes.
+        volumes = (make_volume(blocks=100), ListVolume("C", "C", total_blocks=100))
+        for volume in volumes:
+            first = volume.allocate(30)
+            volume.allocate(10)
+            volume.free(first)
+            assert len(free_runs(volume)) == 2
+            volume.create_file("f", 20 * 4096, when=0.0, fragments=2, spread_seed=spread_seed)
+        assert layout(volumes[0]) == layout(volumes[1])

@@ -379,10 +379,21 @@ class TestNumericArguments:
             "daemon serve --socket d.sock --duration 0.5 --journal-interval -1",
             "daemon serve --socket d.sock --duration 0.5 --save-interval 0",
             "daemon serve --socket d.sock --duration 0.5 --save-interval inf",
+            "daemon serve --socket d.sock --duration nan",
+            "daemon serve --socket d.sock --duration inf",
+            "daemon serve --socket d.sock --duration -5",
+            "daemon soak --duration nan",
+            "daemon soak --duration inf",
+            "daemon soak --duration -5",
+            "daemon soak --duration 0",
+            "benice --pid 1 --counters c.json --names a --duration nan",
+            "benice --pid 1 --counters c.json --names a --duration inf",
+            "benice --pid 1 --counters c.json --names a --duration -5",
         ],
     )
     def test_rejected_at_parse_time(self, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # nothing may be written, but keep it out of the repo
+        self._refuse_to_run(monkeypatch)
         argv = command.split()
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -393,6 +404,32 @@ class TestNumericArguments:
         assert len(errors) == 1
         assert f"argument {argv[-2]}:" in errors[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "daemon serve --socket d.sock --duration 0",
+            "benice --pid 1 --counters c.json --names a --duration 0",
+        ],
+    )
+    def test_zero_duration_accepted(self, command, monkeypatch):
+        started = self._refuse_to_run(monkeypatch)
+        with pytest.raises(AssertionError, match="started"):
+            main(command.split())
+        assert started[0].duration == 0.0
+
+    @staticmethod
+    def _refuse_to_run(monkeypatch) -> list:
+        """Make starting a daemon, soak or BeNice loop fail instead of serving."""
+        started = []
+
+        def refuse(args, out):
+            started.append(args)
+            raise AssertionError("started")
+
+        monkeypatch.setattr("repro.cli._cmd_daemon", refuse)
+        monkeypatch.setattr("repro.cli._cmd_benice", refuse)
+        return started
 
 
 class TestExp:
