@@ -32,7 +32,6 @@ from repro.core.config import MannersConfig
 from repro.core.errors import MetricError
 from repro.core.regression import RidgeCalibrator
 from repro.obs import events as obs_events
-from repro.obs.metrics import RATE_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
@@ -225,9 +224,7 @@ class SingleMetricCalibrator:
             if self._avg.value is not None:
                 tel.metrics.gauges.target_rate.set(self._avg.value)
             tel.metrics.gauges.calibration_scale.set(self._median.scale)
-            tel.metrics.histogram("progress_rate", RATE_BUCKETS).observe(
-                dp / duration
-            )
+            tel.metrics.histograms.progress_rate.observe(dp / duration)
 
     def _mean_duration(self, deltas: Sequence[float]) -> float:
         rate = self._avg.value

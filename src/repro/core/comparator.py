@@ -176,7 +176,7 @@ class StatisticalComparator:
                 ctx.judgment = judgment_span
                 ctx.window.clear()
             tel.metrics.counter(f"signtest_{verdict.value}_windows").inc()
-            tel.metrics.histogram("time_to_detect").observe(time_to_detect)
+            tel.metrics.histograms.time_to_detect.observe(time_to_detect)
         elif ctx is not None and test.sample_count == 0:
             # The window hit max_samples and restarted without a verdict;
             # its sample spans no longer feed a future judgment.

@@ -658,7 +658,7 @@ class ThreadRegulator:
                 if tel is not None:
                     tel.metrics.counters.judgments_poor.inc()
                     tel.metrics.counters.suspensions.inc()
-                    tel.metrics.histogram("suspension_delay").observe(delay)
+                    tel.metrics.histograms.suspension_delay.observe(delay)
                     tel.emit(
                         obs_events.SuspensionStarted(
                             t=now, src=tel.label, delay=delay, level=level
@@ -713,7 +713,7 @@ class ThreadRegulator:
         if tel is not None:
             tel.metrics.counters.execution_seconds.inc(duration)
             tel.metrics.counters.suspension_seconds.inc(delay)
-            tel.metrics.histogram("testpoint_duration").observe(duration)
+            tel.metrics.histograms.testpoint_duration.observe(duration)
             tel.metrics.gauges.backoff_level.set(
                 float(self._suspension.consecutive_poor)
             )

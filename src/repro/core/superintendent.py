@@ -38,22 +38,26 @@ __all__ = ["Superintendent"]
 class Superintendent:
     """Shares the machine-wide execution token among regulated processes."""
 
-    __slots__ = ("_arbiter", "_telemetry")
+    __slots__ = ("_arbiter", "_telemetry", "_labels")
 
     def __init__(
         self, usage_decay: float = 0.9, telemetry: "Telemetry | None" = None
     ) -> None:
         self._arbiter = MultiplexArbiter(usage_decay=usage_decay)
         self._telemetry = telemetry
+        #: Registered process -> its event label, built once at admission.
+        self._labels: dict[Hashable, str] = {}
 
     # -- membership --------------------------------------------------------------
     def register_process(self, pid: Hashable, priority: int = 0) -> None:
         """Admit a process (called by its supervisor on first use)."""
         self._arbiter.add(pid, priority=priority)
+        self._labels[pid] = scope_label(pid)
 
     def unregister_process(self, pid: Hashable) -> None:
         """Withdraw a process; frees the token if it was held."""
         self._arbiter.remove(pid)
+        del self._labels[pid]
 
     def __contains__(self, pid: Hashable) -> bool:
         return pid in self._arbiter
@@ -80,7 +84,7 @@ class Superintendent:
             if tel.emitting:
                 tel.emit(
                     obs_events.TokenHandoff(
-                        t=now, src=tel.label, process=scope_label(pid), action="acquired"
+                        t=now, src=tel.label, process=self._labels[pid], action="acquired"
                     )
                 )
         return holds
@@ -104,7 +108,7 @@ class Superintendent:
             if tel.emitting:
                 tel.emit(
                     obs_events.TokenHandoff(
-                        t=now, src=tel.label, process=scope_label(pid), action="released"
+                        t=now, src=tel.label, process=self._labels[pid], action="released"
                     )
                 )
 

@@ -55,6 +55,8 @@ class ThreadRecord:
     """Supervisor-side state for one regulated thread."""
 
     regulator: ThreadRegulator
+    #: The thread's event label, built once at registration.
+    label: str
     #: Time of the thread's most recent processed testpoint.
     last_testpoint: float = -math.inf
     #: Time the thread was last released to run (for usage charging).
@@ -70,7 +72,7 @@ class ThreadRecord:
 class Supervisor:
     """Arbitrates the execution slot among one process's regulated threads."""
 
-    __slots__ = ("_config", "_threads", "_arbiter", "_superintendent", "_telemetry", "_pid")
+    __slots__ = ("_config", "_threads", "_arbiter", "_superintendent", "_telemetry", "_pid", "_label")
 
     def __init__(
         self,
@@ -85,6 +87,8 @@ class Supervisor:
         self._threads: dict[Hashable, ThreadRecord] = {}
         self._superintendent = superintendent
         self._pid = process_id
+        #: The process's event label, built once.
+        self._label = scope_label(process_id)
         self._telemetry = telemetry
         if superintendent is not None and process_id not in superintendent:
             superintendent.register_process(process_id, priority=process_priority)
@@ -115,12 +119,13 @@ class Supervisor:
         if tid in self._threads:
             raise RegulationStateError(f"thread {tid!r} already registered")
         tel = self._telemetry
+        label = scope_label(tid)
         regulator = ThreadRegulator(
             config or self._config,
             comparator=comparator,
-            telemetry=None if tel is None else tel.scoped(scope_label(tid)),
+            telemetry=None if tel is None else tel.scoped(label),
         )
-        self._threads[tid] = ThreadRecord(regulator=regulator)
+        self._threads[tid] = ThreadRecord(regulator=regulator, label=label)
         self._arbiter.add(tid, priority=priority)
         return regulator
 
@@ -205,7 +210,8 @@ class Supervisor:
             return None
         owner = self._arbiter.acquire(now)
         if owner is not None:
-            self._record(owner).released_at = now
+            record = self._record(owner)
+            record.released_at = now
             tel = self._telemetry
             if tel is not None:
                 tel.tick(now)
@@ -215,8 +221,8 @@ class Supervisor:
                         obs_events.SlotGranted(
                             t=now,
                             src=tel.label,
-                            process=scope_label(self._pid),
-                            thread=scope_label(owner),
+                            process=self._label,
+                            thread=record.label,
                         )
                     )
         return owner
@@ -307,8 +313,8 @@ class Supervisor:
                 obs_events.SlotEvicted(
                     t=now,
                     src=tel.label,
-                    process=scope_label(self._pid),
-                    thread=scope_label(owner),
+                    process=self._label,
+                    thread=record.label,
                     idle_for=stalled_for,
                 )
             )
@@ -321,8 +327,8 @@ class Supervisor:
                         span_id=ctx.new_id(),
                         name="watchdog_eviction",
                         attrs={
-                            "process": scope_label(self._pid),
-                            "thread": scope_label(owner),
+                            "process": self._label,
+                            "thread": record.label,
                             "idle_for": stalled_for,
                             "threshold": threshold,
                             "watchdog": watchdog,
@@ -337,7 +343,7 @@ class Supervisor:
                         src=tel.label,
                         anomaly="watchdog_stall",
                         value=stalled_for,
-                        detail=scope_label(owner),
+                        detail=record.label,
                     )
                 )
                 tel.emit(
@@ -345,7 +351,7 @@ class Supervisor:
                         t=now,
                         src=tel.label,
                         action="watchdog_release",
-                        detail=scope_label(owner),
+                        detail=record.label,
                     )
                 )
         if record.released_at is not None:

@@ -10,8 +10,9 @@ absent (the instrumented components then never touch the registry at all).
 
 All instruments are get-or-create by name, so independent components can
 contribute to the same counter without coordination.  Per-testpoint emit
-sites reach them as attributes (``registry.counters.testpoints.inc()``),
-which looks each name up once per registry instead of once per update.
+sites reach them as attributes (``registry.counters.testpoints.inc()``,
+``registry.histograms.testpoint_duration.observe(...)``), which looks each
+name up once per registry instead of once per update.
 Snapshots are plain dicts ready for ``json.dumps``.
 """
 
@@ -51,6 +52,13 @@ RATE_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
     250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
+
+#: Buckets of the histograms that ``registry.histograms.<name>`` creates
+#: with other than :data:`DEFAULT_BUCKETS`.
+_NAMED_BUCKETS: dict[str, tuple[float, ...]] = {
+    "progress_rate": RATE_BUCKETS,
+    "engine_tick_latency": TICK_LATENCY_BUCKETS,
+}
 
 
 class Counter:
@@ -178,15 +186,18 @@ class _Instruments:
 class MetricsRegistry:
     """Flat get-or-create namespace of counters, gauges, and histograms."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "counters", "gauges")
+    __slots__ = ("_counters", "_gauges", "_histograms", "counters", "gauges", "histograms")
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: Counters and gauges by attribute, each looked up on first use.
+        #: Counters, gauges and histograms by attribute, each looked up on
+        #: first use; a histogram gets its name's buckets (``progress_rate``
+        #: and ``engine_tick_latency`` have their own).
         self.counters = _Instruments(self.counter)
         self.gauges = _Instruments(self.gauge)
+        self.histograms = _Instruments(self._named_histogram)
 
     def counter(self, name: str) -> Counter:
         """The counter named ``name``, created on first use."""
@@ -210,6 +221,9 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, buckets)
         return instrument
+
+    def _named_histogram(self, name: str) -> Histogram:
+        return self.histogram(name, _NAMED_BUCKETS.get(name, DEFAULT_BUCKETS))
 
     def snapshot(self) -> dict:
         """Point-in-time JSON-safe view of every instrument.
@@ -236,8 +250,8 @@ class MetricsRegistry:
                 out["derived"]["duty_cycle"] = executed.value / denominator
         return out
 
-    def histograms(self) -> dict[str, Histogram]:
-        """The live histogram instruments, by name (read-only view)."""
+    def histogram_map(self) -> dict[str, Histogram]:
+        """The live histogram instruments, by name (a copy)."""
         return dict(self._histograms)
 
 
@@ -270,7 +284,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             continue
         lines.append(f"# TYPE repro_{name} gauge")
         lines.append(f"repro_{name} {_prom_float(value)}")
-    for name, hist in sorted(registry.histograms().items()):
+    for name, hist in sorted(registry.histogram_map().items()):
         lines.append(f"# TYPE repro_{name} histogram")
         cumulative = 0
         for bound, count in zip(hist.bounds, hist.counts):

@@ -35,7 +35,7 @@ from repro.obs.events import (
     TestpointProcessed,
     event_from_dict,
 )
-from repro.obs.metrics import RATE_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "read_events",
@@ -107,17 +107,17 @@ def metrics_from_events(events: Iterable[Event]) -> MetricsRegistry:
     for event in events:
         if isinstance(event, SuspensionStarted):
             if event.delay > 0:
-                registry.histogram("suspension_delay").observe(event.delay)
+                registry.histograms.suspension_delay.observe(event.delay)
         elif isinstance(event, SuspensionEnded):
             if event.slept > 0:
-                registry.histogram("suspension_slept").observe(event.slept)
+                registry.histograms.suspension_slept.observe(event.slept)
         elif isinstance(event, TestpointProcessed):
             if event.duration > 0 and event.deltas:
                 rate = (sum(event.deltas) / len(event.deltas)) / event.duration
-                registry.histogram("progress_rate", RATE_BUCKETS).observe(rate)
+                registry.histograms.progress_rate.observe(rate)
         elif isinstance(event, Span):
             if event.name == "judgment" and "time_to_detect" in event.attrs:
-                registry.histogram("time_to_detect").observe(
+                registry.histograms.time_to_detect.observe(
                     float(event.attrs["time_to_detect"])
                 )
     return registry
@@ -125,7 +125,7 @@ def metrics_from_events(events: Iterable[Event]) -> MetricsRegistry:
 
 def _percentile_lines(registry: MetricsRegistry) -> list[str]:
     lines: list[str] = []
-    for name, hist in sorted(registry.histograms().items()):
+    for name, hist in sorted(registry.histogram_map().items()):
         if not hist.count:
             continue
         p50, p90, p99 = (hist.quantile(q) for q in (0.5, 0.9, 0.99))

@@ -121,8 +121,14 @@ class TraceContext:
         self.judgment = 0
 
     def new_id(self) -> int:
-        """Allocate a span id from the shared tracer."""
-        return self.tracer.next_id()
+        """Allocate a span id from the shared tracer.
+
+        :meth:`Tracer.next_id` inlined: one call per span, not two.
+        """
+        tracer = self.tracer
+        span_id = tracer._next_id
+        tracer._next_id = span_id + 1
+        return span_id
 
 
 # -- reconstruction -----------------------------------------------------------

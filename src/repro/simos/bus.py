@@ -13,6 +13,7 @@ inside each disk concurrently; only the data transfer phase is serialized.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -20,6 +21,8 @@ from typing import Callable
 from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["BusStats", "Bus"]
+
+_INF = math.inf
 
 
 @dataclass(slots=True)
@@ -71,9 +74,9 @@ class Bus:
         slower of the device and the channel.  Extra positional ``args`` are
         forwarded to ``on_done`` so callers need not allocate a closure.
         """
-        if duration < 0:
+        if not (0.0 <= duration < _INF):
             raise SimulationError(
-                f"transfer duration must be non-negative, got {duration}"
+                f"transfer duration must be finite and non-negative, got {duration}"
             )
         queue = self._queue
         if self._busy or queue:

@@ -22,6 +22,7 @@ Priorities follow a simplified Windows NT layering (section 2's
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable
@@ -29,6 +30,8 @@ from typing import Callable, Hashable
 from repro.simos.engine import Engine, EventHandle, SimulationError
 
 __all__ = ["CpuPriority", "CpuStats", "CPU"]
+
+_INF = math.inf
 
 
 class CpuPriority(enum.IntEnum):
@@ -131,8 +134,10 @@ class CPU:
         ``on_done`` fires (via the event queue) when the full service has
         been delivered.  A thread may have at most one outstanding burst.
         """
-        if service < 0:
-            raise SimulationError(f"CPU service must be non-negative, got {service}")
+        if not (0.0 <= service < _INF):
+            raise SimulationError(
+                f"CPU service must be finite and non-negative, got {service}"
+            )
         if service == 0.0:
             # Zero-length bursts complete immediately but still round-trip
             # through the event queue for deterministic ordering.

@@ -24,6 +24,7 @@ Seek time follows the classic ``a + b * sqrt(distance)`` curve
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from collections import deque
@@ -34,6 +35,8 @@ from repro.simos.bus import Bus
 from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["DiskParams", "DiskStats", "DiskRequest", "Disk"]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,9 +244,11 @@ class Disk:
         """
         if kind not in ("read", "write"):
             raise SimulationError(f"unknown disk request kind {kind!r}")
-        if nbytes <= 0:
-            raise SimulationError(f"request size must be positive, got {nbytes}")
-        if block < 0 or block >= self._blocks:
+        if not (0 < nbytes < _INF):
+            raise SimulationError(
+                f"request size must be finite and positive, got {nbytes}"
+            )
+        if not (0 <= block < self._blocks):
             raise SimulationError(
                 f"block {block} out of range for {self.name} "
                 f"({self._blocks} blocks)"

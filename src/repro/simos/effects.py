@@ -13,10 +13,17 @@ calls, and gives the simulator complete control over timing::
             yield DiskWrite(fs.volume, block, fs.block_size)
             yield UseCPU(0.0001)  # checksum
 
-Effects are plain frozen dataclasses; the kernel dispatches on their type.
+Effects are plain slotted dataclasses; the kernel dispatches on their type.
 New effects (like the MS Manners testpoint in
 :mod:`repro.simos.sim_manners`) can be registered without touching the
 kernel.
+
+Effects are records, built once per request and read once by the kernel,
+so they are not frozen: a frozen dataclass's ``__init__`` writes each
+field through ``object.__setattr__``, which nearly triples the cost of
+building one, and the scenarios build thousands per trial.  Treat an
+effect as immutable all the same.  They are not tuples either: a tuple
+``DiskRead`` would compare equal to a ``DiskWrite`` with the same fields.
 """
 
 from __future__ import annotations
@@ -43,14 +50,14 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Delay(Effect):
     """Sleep for ``seconds`` of simulated time (no resource use)."""
 
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UseCPU(Effect):
     """Consume ``seconds`` of CPU *service* time.
 
@@ -63,7 +70,7 @@ class UseCPU(Effect):
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiskRead(Effect):
     """Read ``nbytes`` starting at logical ``block`` of disk ``disk``.
 
@@ -77,7 +84,7 @@ class DiskRead(Effect):
     nbytes: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DiskWrite(Effect):
     """Write ``nbytes`` starting at logical ``block`` of disk ``disk``."""
 
@@ -106,14 +113,14 @@ class Condition:
         return f"Condition({self.name!r}, waiters={len(self.waiters)})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitCondition(Effect):
     """Block until the condition is signalled; resumes with the payload."""
 
     condition: Condition
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SignalCondition(Effect):
     """Wake waiters on a condition and continue immediately.
 
@@ -126,7 +133,7 @@ class SignalCondition(Effect):
     broadcast: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Yield(Effect):
     """Reschedule immediately: let same-time events interleave.
 

@@ -24,6 +24,10 @@ Hot-path design (profile-driven; see docs/performance.md):
   same heap and compare in C against plain entries.
 * ``pending`` is derived from four monotone counters (scheduled, fired,
   cancelled, drained) instead of being written on every schedule/fire.
+* ``now`` is a plain attribute, because devices read it on every request;
+  only :meth:`Engine.step` and the run loops write it.  :meth:`Engine.run`
+  without an event budget, which is how every scenario runs, takes one
+  loop that neither tests a budget nor counts the events it fires.
 * The heap is compacted when cancelled handles dominate it — a long
   regulator suspension cancels and reschedules timers repeatedly, and
   without compaction those inert entries would bloat the heap and slow
@@ -142,7 +146,9 @@ class Engine:
     # simulation, so slots buy nothing here anyway)
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time, in seconds.  A plain attribute, read on
+        #: every request; only :meth:`step` and the run loops write it.
+        self.now = 0.0
         self._heap: list[tuple] = []
         self._seq = 0  # total events ever scheduled (posts + handles)
         self._events_fired = 0
@@ -155,12 +161,7 @@ class Engine:
         self._tick_observe: Callable[[float], None] | None = None
         self._tick_sample_every = 1024
 
-    # -- time ----------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time, in seconds."""
-        return self._now
-
+    # -- counters --------------------------------------------------------------
     @property
     def events_fired(self) -> int:
         """Total events executed (for instrumentation and sanity checks)."""
@@ -195,7 +196,7 @@ class Engine:
         if not math.isfinite(when):
             raise SimulationError(f"event time must be finite, got {when}")
         raise SimulationError(
-            f"cannot schedule event at {when} before current time {self._now}"
+            f"cannot schedule event at {when} before current time {self.now}"
         )
 
     def post_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
@@ -205,15 +206,15 @@ class Engine:
         cancels (completion callbacks, device pumps, frame delivery).  The
         chained comparison rejects NaN, ±inf, and past times in one check.
         """
-        if not (self._now <= when < _INF):
+        if not (self.now <= when < _INF):
             self._reject_time(when)
         heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
 
     def post_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` after ``delay`` seconds; no handle."""
-        when = self._now + delay
-        if not (self._now <= when < _INF):
+        when = self.now + delay
+        if not (self.now <= when < _INF):
             if delay < 0:
                 raise SimulationError(f"delay must be non-negative, got {delay}")
             self._reject_time(when)
@@ -222,7 +223,7 @@ class Engine:
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute time ``when``; cancellable."""
-        if not (self._now <= when < _INF):
+        if not (self.now <= when < _INF):
             self._reject_time(when)
         handle = tuple.__new__(EventHandle, (when, self._seq, fn, args))
         handle._engine = self
@@ -232,8 +233,8 @@ class Engine:
 
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds; cancellable."""
-        when = self._now + delay
-        if not (self._now <= when < _INF):
+        when = self.now + delay
+        if not (self.now <= when < _INF):
             if delay < 0:
                 raise SimulationError(f"delay must be non-negative, got {delay}")
             self._reject_time(when)
@@ -306,7 +307,7 @@ class Engine:
                     self._stale -= 1
                     continue
                 head.cancelled = True  # Consumed: a late cancel() is a no-op.
-            self._now = head[0]
+            self.now = head[0]
             self._events_fired += 1
             head[2](*head[3])
             return True
@@ -325,40 +326,48 @@ class Engine:
             return self._run_instrumented(until, max_events)
         heap = self._heap
         pop = heapq.heappop
-        if until is None and max_events is None:
-            # Drain-all fast loop: no bound checks, no head peeking.
+        if max_events is None:
+            # The budget-free loop every scenario takes: no budget test and
+            # no fired count; a missing ``until`` never stops it.
+            stop = _INF if until is None else until
             while heap:
-                head = pop(heap)
+                head = heap[0]
                 if head.__class__ is not tuple:
                     if head.cancelled:
+                        pop(heap)
                         self._stale -= 1
                         continue
-                    head.cancelled = True
-                self._now = head[0]
+                    if head[0] > stop:
+                        break
+                    head.cancelled = True  # Consumed: a late cancel() is a no-op.
+                elif head[0] > stop:
+                    break
+                pop(heap)
+                self.now = head[0]
                 self._events_fired += 1
                 head[2](*head[3])
-            return self._now
-        fired = 0
-        while heap:
-            head = heap[0]
-            if head.__class__ is not tuple and head.cancelled:
+        else:
+            fired = 0
+            while heap:
+                head = heap[0]
+                if head.__class__ is not tuple and head.cancelled:
+                    pop(heap)
+                    self._stale -= 1
+                    continue
+                if until is not None and head[0] > until:
+                    break
+                if fired >= max_events:
+                    return self.now
                 pop(heap)
-                self._stale -= 1
-                continue
-            if until is not None and head[0] > until:
-                break
-            if max_events is not None and fired >= max_events:
-                return self._now
-            pop(heap)
-            if head.__class__ is not tuple:
-                head.cancelled = True
-            self._now = head[0]
-            self._events_fired += 1
-            head[2](*head[3])
-            fired += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+                if head.__class__ is not tuple:
+                    head.cancelled = True
+                self.now = head[0]
+                self._events_fired += 1
+                head[2](*head[3])
+                fired += 1
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def _run_instrumented(
         self, until: float | None, max_events: int | None
@@ -393,7 +402,7 @@ class Engine:
             pop(heap)
             if head.__class__ is not tuple:
                 head.cancelled = True
-            self._now = head[0]
+            self.now = head[0]
             self._events_fired += 1
             head[2](*head[3])
             fired += 1
@@ -407,10 +416,10 @@ class Engine:
             now_wall = time.perf_counter()  # verify: allow-wall-clock (latency metric only)
             observe((now_wall - stamp) / batch)
         if budget_hit:
-            return self._now
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+            return self.now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def _run_stepped(self, until: float | None, max_events: int | None) -> float:
         """run() routed through ``self.step()`` so monitors see every fire.
@@ -429,12 +438,12 @@ class Engine:
             if until is not None and head[0] > until:
                 break
             if max_events is not None and fired >= max_events:
-                return self._now
+                return self.now
             self.step()
             fired += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def drain(self) -> None:
         """Discard all pending events (used when tearing a simulation down)."""

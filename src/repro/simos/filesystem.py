@@ -206,15 +206,28 @@ class Volume:
             )
         fragments = max(1, min(fragments, blocks))
         piece_sizes = self._split_sizes(blocks, fragments)
-        # Carving never adds a run, so from a one-run free list every piece
-        # has at most one candidate and the seeded random fit is a first
-        # fit: the rng would be seeded only to draw from one-element lists.
-        rng = (
-            random.Random(spread_seed)
-            if spread_seed is not None and len(self._starts) > 1
-            else None
-        )
-        out: list[Extent] = []
+        starts = self._starts
+        if len(starts) == 1:
+            # Carving never adds a run, so from a one-run free list every
+            # piece has one candidate and first fit and the seeded random
+            # fit agree: the pieces lie end to end from the run's start,
+            # and the run (which holds all ``blocks``) shrinks once.
+            start = starts[0]
+            out: list[Extent] = []
+            for size in piece_sizes:
+                out.append(Extent(start, size))
+                start += size
+            counts = self._counts
+            if counts[0] > blocks:
+                starts[0] = start
+                counts[0] -= blocks
+            else:
+                del starts[0]
+                del counts[0]
+            self._free_total -= blocks
+            return out
+        rng = random.Random(spread_seed) if spread_seed is not None else None
+        out = []
         try:
             for size in piece_sizes:
                 out.append(self._allocate_piece(size, rng))
@@ -397,18 +410,7 @@ class Volume:
         f = self.file(file_id)
         if f.sis_link is not None:
             return self.read_plan(f.sis_link, chunk_bytes)
-        chunk_blocks = max(1, chunk_bytes // self.block_size)
-        remaining_bytes = f.size
-        ops: list[tuple[int, int]] = []
-        for extent in f.extents:
-            offset = 0
-            while offset < extent.count and remaining_bytes > 0:
-                run = min(chunk_blocks, extent.count - offset)
-                nbytes = min(run * self.block_size, remaining_bytes)
-                ops.append((self.to_disk_block(extent.start + offset), nbytes))
-                remaining_bytes -= nbytes
-                offset += run
-        return ops
+        return self._chunk_plan(f.extents, f.size, chunk_bytes)
 
     def relocation_plan(
         self, file_id: int, chunk_bytes: int = 65536
@@ -428,18 +430,48 @@ class Volume:
             target = self._allocate_piece(f.blocks, None)
         except SimulationError:
             return None  # No free run holds the whole file.
-        reads = self.read_plan(file_id, chunk_bytes)
-        chunk_blocks = max(1, chunk_bytes // self.block_size)
-        writes: list[tuple[int, int]] = []
-        offset = 0
-        remaining_bytes = f.size
-        while offset < target.count and remaining_bytes > 0:
-            run = min(chunk_blocks, target.count - offset)
-            nbytes = min(run * self.block_size, remaining_bytes)
-            writes.append((self.to_disk_block(target.start + offset), nbytes))
-            remaining_bytes -= nbytes
-            offset += run
-        return reads, writes, [target]
+        new_extents = [target]
+        reads = self._chunk_plan(f.extents, f.size, chunk_bytes)
+        writes = self._chunk_plan(new_extents, f.size, chunk_bytes)
+        return reads, writes, new_extents
+
+    def _chunk_plan(
+        self, extents: list[Extent], size: int, chunk_bytes: int
+    ) -> list[tuple[int, int]]:
+        """(disk block, nbytes) chunks covering ``size`` bytes of ``extents``.
+
+        Each chunk stays inside one extent and holds at most
+        ``chunk_bytes`` (at least one block); the last one ends at
+        ``size``.  The comparisons are ``min`` written out, so ties pick
+        the same operand and the values match it exactly.
+        """
+        block_size = self.block_size
+        chunk_blocks = chunk_bytes // block_size
+        if chunk_blocks < 1:
+            chunk_blocks = 1
+        chunk_size = chunk_blocks * block_size
+        base = self.start_block
+        remaining = size
+        ops: list[tuple[int, int]] = []
+        append = ops.append
+        for start, count in extents:
+            if remaining <= 0:
+                break
+            block = base + start
+            end = block + count
+            while block < end and remaining > 0:
+                run = end - block
+                if run < chunk_blocks:
+                    nbytes = run * block_size
+                else:
+                    run = chunk_blocks
+                    nbytes = chunk_size
+                if remaining < nbytes:
+                    nbytes = remaining
+                append((block, nbytes))
+                remaining -= nbytes
+                block += run
+        return ops
 
     def commit_relocation(self, file_id: int, new_extents: list[Extent], when: float) -> None:
         """Finish a relocation: free old extents, install the new layout."""

@@ -32,7 +32,7 @@ from repro.simos.kernel import Kernel, SimThread
 __all__ = ["TouchMemory", "MemoryManager"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TouchMemory(Effect):
     """Touch ``pages`` pages of the calling thread's process working set."""
 

@@ -29,7 +29,7 @@ from repro.simos.kernel import Kernel, SimThread
 __all__ = ["NetSend", "NetworkStats", "NetworkLink"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NetSend(Effect):
     """Transmit ``nbytes`` over the named network link."""
 

@@ -31,7 +31,6 @@ from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
 from repro.obs import events as obs_events
-from repro.obs.metrics import TICK_LATENCY_BUCKETS
 from repro.obs.telemetry import scope_label
 from repro.simos.effects import Effect
 from repro.simos.engine import EventHandle
@@ -44,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["MannersTestpoint", "SetThreadPriority", "SimManners"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MannersTestpoint(Effect):
     """The paper's ``Testpoint(index, count, metrics)`` call.
 
@@ -56,7 +55,7 @@ class MannersTestpoint(Effect):
     index: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SetThreadPriority(Effect):
     """The library call by which a thread sets its relative priority.
 
@@ -102,9 +101,7 @@ class SimManners:
             # Engine tick-latency histogram: mean wall-clock cost per fired
             # event, sampled once per batch so the hot loop stays cheap.
             kernel.engine.attach_tick_observer(
-                telemetry.metrics.histogram(
-                    "engine_tick_latency", TICK_LATENCY_BUCKETS
-                ).observe
+                telemetry.metrics.histograms.engine_tick_latency.observe
             )
         self._superintendent = Superintendent(
             usage_decay=config.usage_decay, telemetry=telemetry

@@ -19,6 +19,7 @@ Two recorders:
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,6 +28,8 @@ from repro.obs import events as obs_events
 from repro.simos.kernel import Kernel, SimThread
 
 __all__ = ["DutyTrace", "TestpointRecord", "TestpointTrace"]
+
+_time_of = operator.itemgetter(0)
 
 
 class DutyTrace:
@@ -94,9 +97,18 @@ class DutyTrace:
         series = self._traced.get(thread)
         if not series:
             return 0.0
+        # Transition times never decrease, so the segments that overlap
+        # [start, end] are one slice: from the last one beginning at or
+        # before ``start`` to the last one beginning before ``end``.  The
+        # segments outside it add nothing to the sum, so walking only the
+        # slice, in order, gives the same float as walking them all.
+        first = bisect.bisect_right(series, start, key=_time_of) - 1
+        stop = bisect.bisect_left(series, end, key=_time_of)
+        last = len(series) - 1
         total = 0.0
-        for i, (t, flag) in enumerate(series):
-            seg_end = series[i + 1][0] if i + 1 < len(series) else max(end, t)
+        for i in range(first if first > 0 else 0, stop):
+            t, flag = series[i]
+            seg_end = series[i + 1][0] if i < last else max(end, t)
             lo = max(t, start)
             hi = min(seg_end, end)
             if hi > lo and flag:

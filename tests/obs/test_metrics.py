@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    RATE_BUCKETS,
+    TICK_LATENCY_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+)
 
 
 class TestCounter:
@@ -40,6 +46,18 @@ class TestCounter:
         assert list(registry.snapshot()["gauges"]) == ["backoff_level"]
         with pytest.raises(AttributeError):
             registry.counters._private
+
+    def test_histogram_view_uses_each_names_buckets(self):
+        registry = MetricsRegistry()
+        rate = registry.histograms.progress_rate
+        assert rate is registry.histogram("progress_rate")
+        assert rate.bounds == RATE_BUCKETS
+        assert registry.histograms.engine_tick_latency.bounds == TICK_LATENCY_BUCKETS
+        assert registry.histograms.testpoint_duration.bounds == DEFAULT_BUCKETS
+        assert registry.histograms.progress_rate is rate
+        assert list(registry.snapshot()["histograms"]) == [
+            "engine_tick_latency", "progress_rate", "testpoint_duration"
+        ]
 
 
 class TestGauge:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.simos.bus import Bus
@@ -187,3 +189,19 @@ class TestBusCoupling:
         engine.run()
         assert bus.stats.transfers == 1
         assert bus.stats.busy_time > 0.0
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_transfer_is_rejected_before_the_bus_moves(self, duration):
+        engine = Engine()
+        bus = Bus(engine, 40_000_000.0)
+        with pytest.raises(SimulationError, match="finite"):
+            bus.transfer(duration, lambda: None)
+        assert not bus.busy
+        assert bus.queue_depth == 0
+        assert bus.stats.transfers == 0
+        assert bus.stats.busy_time == 0.0
+        done = []
+        bus.transfer(0.001, lambda: done.append(engine.now))
+        engine.run()
+        assert done == [0.001]
+        assert bus.stats.busy_time == 0.001

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simos.engine import Engine, SimulationError
@@ -324,3 +324,99 @@ class TestPostAPI:
             engine.post_at(float(i), fired.append, i)
         engine.run(max_events=2)
         assert fired == [0, 1]
+
+
+def _schedule(engine, entries, log):
+    """Build one schedule on ``engine``; firing appends labels to ``log``.
+
+    Each entry is ``(when, handle, cancel_now, child_delay, victim)``: a
+    handle (or a plain post) at ``when``, cancelled before the run when
+    ``cancel_now``; when it fires it posts a child ``child_delay`` later
+    (if given) and cancels the ``victim``-th entry (if that is a handle).
+    """
+    handles = []
+
+    def fire(i, child_delay, victim):
+        log.append((i, engine.now))
+        if child_delay is not None:
+            engine.post_after(child_delay, log.append, (i, "child"))
+        if victim is not None and victim < len(handles) and handles[victim] is not None:
+            handles[victim].cancel()
+
+    for i, (when, handle, _, child_delay, victim) in enumerate(entries):
+        if handle:
+            handles.append(engine.call_at(when, fire, i, child_delay, victim))
+        else:
+            engine.post_at(when, fire, i, child_delay, victim)
+            handles.append(None)
+    for h, (_, _, cancel_now, _, _) in zip(handles, entries):
+        if h is not None and cancel_now:
+            h.cancel()
+
+
+def _state(engine, log, stopped):
+    return (list(log), stopped, engine.now, engine.pending, engine._stale,
+            engine.events_fired)
+
+
+_TIMES = st.one_of(
+    st.sampled_from((0.0, 1.0, 2.5, 5.0, 5.0, 10.0)), st.floats(0.0, 20.0)
+)
+
+
+class TestBudgetFreeRun:
+    """``run`` without a budget fires exactly what a huge budget fires."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                _TIMES,
+                st.booleans(),
+                st.booleans(),
+                st.one_of(st.none(), st.sampled_from((0.0, 0.5, 5.0))),
+                st.one_of(st.none(), st.integers(0, 150)),
+            ),
+            max_size=150,
+        ),
+        until=st.one_of(st.none(), st.sampled_from((0.0, 2.5, 5.0, 10.0, 30.0)),
+                        st.floats(0.0, 20.0)),
+    )
+    def test_matches_the_budgeted_loop(self, entries, until):
+        states = []
+        for budget in (None, 10**9):
+            engine = Engine()
+            log = []
+            _schedule(engine, entries, log)
+            first = _state(engine, log, engine.run(until=until, max_events=budget))
+            # Then drain what is left: the no-``until`` case.
+            second = _state(engine, log, engine.run(max_events=budget))
+            states.append((first, second))
+        assert states[0] == states[1]
+
+    def test_cancelled_heads_on_both_sides_of_until(self):
+        engine = Engine()
+        fired = []
+        early = engine.call_at(1.0, fired.append, "early")
+        engine.post_at(2.0, fired.append, "at")
+        engine.post_at(2.5, fired.append, "next")
+        late = engine.call_at(3.0, fired.append, "late")
+        engine.post_at(4.0, fired.append, "after")
+        early.cancel()
+        late.cancel()
+        assert engine.run(until=2.0) == 2.0
+        assert fired == ["at"]
+        # The cancelled head before ``until`` was popped; the one behind
+        # the first live event past ``until`` stays in the heap.
+        assert engine._stale == 1
+        assert engine.pending == 2
+        engine.post_at(3.0, fired.append, "at3")
+        assert engine.run(until=3.0) == 3.0
+        assert fired == ["at", "next", "at3"]
+        # The cancelled handle at ``until`` is popped on the way to the
+        # live event at the same time.
+        assert engine._stale == 0
+        assert engine.pending == 1
+        assert engine.run() == 4.0
+        assert fired == ["at", "next", "at3", "after"]
+        assert engine.events_fired == 4

@@ -148,6 +148,100 @@ class TestReadPlan:
         assert plan[0][0] >= 5000
 
 
+def reference_read_plan(vol, file_id, chunk_bytes=65536):
+    """The read loop as first written: ``min`` and ``to_disk_block`` per chunk."""
+    f = vol.file(file_id)
+    if f.sis_link is not None:
+        return reference_read_plan(vol, f.sis_link, chunk_bytes)
+    chunk_blocks = max(1, chunk_bytes // vol.block_size)
+    remaining_bytes = f.size
+    ops = []
+    for extent in f.extents:
+        offset = 0
+        while offset < extent.count and remaining_bytes > 0:
+            run = min(chunk_blocks, extent.count - offset)
+            nbytes = min(run * vol.block_size, remaining_bytes)
+            ops.append((vol.to_disk_block(extent.start + offset), nbytes))
+            remaining_bytes -= nbytes
+            offset += run
+    return ops
+
+
+def reference_write_plan(vol, target, size, chunk_bytes=65536):
+    """The relocation write loop as first written, over one target extent."""
+    chunk_blocks = max(1, chunk_bytes // vol.block_size)
+    writes = []
+    offset = 0
+    remaining_bytes = size
+    while offset < target.count and remaining_bytes > 0:
+        run = min(chunk_blocks, target.count - offset)
+        nbytes = min(run * vol.block_size, remaining_bytes)
+        writes.append((vol.to_disk_block(target.start + offset), nbytes))
+        remaining_bytes -= nbytes
+        offset += run
+    return writes
+
+
+class TestChunkPlans:
+    """One chunk planner gives the plans of the two loops it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block_size=st.sampled_from((512, 3000, 4096)),
+        start_block=st.sampled_from((0, 1, 5000)),
+        chunk_blocks=st.integers(0, 20),
+        chunk_extra=st.sampled_from((0, 1, 7, -1)),
+        files=st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 4095), st.integers(1, 8)),
+            min_size=1,
+            max_size=10,
+        ),
+        seed=st.integers(0, 1 << 16),
+    )
+    def test_plans_match_the_original_loops(
+        self, block_size, start_block, chunk_blocks, chunk_extra, files, seed
+    ):
+        # Chunks below, equal to, above and not a multiple of the block.
+        chunk_bytes = max(1, chunk_blocks * block_size + chunk_extra)
+        vol = Volume(
+            "C", "C", total_blocks=2_000, block_size=block_size,
+            start_block=start_block,
+        )
+        rng = random.Random(seed)
+        made = []
+        for i, (blocks, tail, fragments) in enumerate(files):
+            # Sizes that end mid-block as well as on a block boundary.
+            size = (blocks - 1) * block_size + 1 + tail % block_size
+            made.append(
+                vol.create_file(
+                    f"f{i}", size, when=0.0, fragments=fragments,
+                    spread_seed=rng.randrange(1 << 30),
+                )
+            )
+            filler = vol.create_file(f"filler{i}", rng.randint(1, 8) * block_size, when=0.0)
+            if rng.random() < 0.5:
+                vol.delete_file(filler.file_id, when=0.0)
+        keeper = made[0]
+        dup = vol.create_file("dup", keeper.size, when=0.0, content_id=keeper.content_id)
+        vol.merge_duplicate(dup.file_id, keeper.file_id, when=0.0)
+        for f in made + [dup]:
+            assert vol.read_plan(f.file_id, chunk_bytes) == reference_read_plan(
+                vol, f.file_id, chunk_bytes
+            )
+        for f in made:
+            reads = reference_read_plan(vol, f.file_id, chunk_bytes)
+            plan = vol.relocation_plan(f.file_id, chunk_bytes)
+            if plan is None:
+                assert f.fragments <= 1 or f.sis_link is not None or (
+                    vol.largest_free_extent() < f.blocks
+                )
+                continue
+            assert plan[0] == reads
+            assert len(plan[2]) == 1
+            assert plan[1] == reference_write_plan(vol, plan[2][0], f.size, chunk_bytes)
+            vol.commit_relocation(f.file_id, plan[2], when=1.0)
+
+
 class TestRelocation:
     def test_contiguous_file_needs_no_plan(self):
         vol = make_volume()

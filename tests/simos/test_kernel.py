@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import MannersConfig
@@ -309,6 +311,13 @@ class TestRejectedEffects:
         "zero-byte read": (lambda: DiskRead("C", 0, 0), SimulationError),
         "zero-byte write": (lambda: DiskWrite("C", 0, 0), SimulationError),
         "unregulated testpoint": (lambda: MannersTestpoint((1.0,)), RegulationStateError),
+        # Non-finite arguments: rejected before they touch a device.
+        "NaN CPU burst": (lambda: UseCPU(math.nan), SimulationError),
+        "infinite CPU burst": (lambda: UseCPU(math.inf), SimulationError),
+        "NaN-byte read": (lambda: DiskRead("C", 0, math.nan), SimulationError),
+        "infinite-byte read": (lambda: DiskRead("C", 0, math.inf), SimulationError),
+        "NaN-byte write": (lambda: DiskWrite("C", 0, math.nan), SimulationError),
+        "NaN block": (lambda: DiskRead("C", math.nan, 4096), SimulationError),
     }
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
@@ -336,8 +345,9 @@ class TestRejectedEffects:
 
         thread = kernel.spawn("t", body())
         other = kernel.spawn("other", bystander())
+        # Bounded: an accepted infinite burst would otherwise never end.
         with pytest.raises(SimulationError, match="thread 't' failed") as info:
-            kernel.run()
+            kernel.run(until=60.0)
         assert thread.state is ThreadState.FAILED
         assert isinstance(thread.error, error_type)
         assert info.value.__cause__ is thread.error

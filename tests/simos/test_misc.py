@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import RegulationStateError
 from repro.core.signtest import Judgment
@@ -52,6 +54,18 @@ class TestPerfCounters:
         reg.publish("other", "c").add(3)
         assert reg.read_all("app") == {"a": 1.0, "b": 2.0}
         assert reg.processes() == ("app", "other")
+
+
+def _full_walk(series, start, end):
+    """The original ``DutyTrace.executing_time``: every segment, in order."""
+    total = 0.0
+    for i, (t, flag) in enumerate(series):
+        seg_end = series[i + 1][0] if i + 1 < len(series) else max(end, t)
+        lo = max(t, start)
+        hi = min(seg_end, end)
+        if hi > lo and flag:
+            total += hi - lo
+    return total
 
 
 class TestDutyTrace:
@@ -107,6 +121,56 @@ class TestDutyTrace:
         thread = kernel.spawn("t", body())
         with pytest.raises(KeyError):
             duty.series(thread)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from((0.0, 0.0, 0.1, 0.25, 1.0 / 3.0, 1.7, 10.0)),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        windows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-5.0, 80.0), st.integers(-1, 30).map(float)),
+                st.floats(0.0, 60.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        edges=st.lists(st.integers(0, 29), max_size=4),
+        bin_width=st.sampled_from((0.1, 0.7, 1.0, 5.0)),
+    )
+    def test_windows_match_the_full_walk(self, steps, windows, edges, bin_width):
+        """Bisecting to the overlapping segments gives the same floats."""
+        series = []
+        t = 0.0
+        for dt, flag in steps:
+            t += dt
+            series.append((t, flag))
+        duty = DutyTrace(Kernel())
+        thread = object()
+        duty._traced[thread] = series
+        times = [when for when, _ in series]
+        # Windows anywhere, and windows that start or end on a transition.
+        bounds = [(lo, lo + width) for lo, width in windows]
+        bounds += [(times[i % len(times)], times[-1] + 1.0) for i in edges]
+        bounds += [(-1.0, times[i % len(times)]) for i in edges]
+        for lo, hi in bounds:
+            assert duty.executing_time(thread, lo, hi) == _full_walk(series, lo, hi)
+        lo, hi = bounds[0]
+        expected = []
+        at = lo
+        while at < hi:
+            top = min(at + bin_width, hi)
+            span = top - at
+            expected.append(
+                (at, _full_walk(series, at, top) / span if span > 0 else 0.0)
+            )
+            at = top
+        assert duty.binned(thread, lo, hi, bin_width) == expected
 
 
 class TestTestpointTrace:

@@ -143,7 +143,7 @@ def test_engine_monitor_detects_backward_clock():
     monitor = EngineInvariantMonitor(engine, recorder)
     engine.call_after(5.0, lambda: None)
     engine.run()
-    engine._now = 1.0  # simulate a clock regression
+    engine.now = 1.0  # simulate a clock regression
     engine.call_at(2.0, lambda: None)
     assert any(v.invariant == "monotone_clock" for v in recorder.violations)
     monitor.detach()

@@ -91,7 +91,7 @@ class _DriftingEngine(Engine):
 
     def step(self):
         fired = super().step()
-        self._now += 0.001
+        self.now += 0.001
         return fired
 
 
