@@ -41,6 +41,7 @@ Responsibilities, mapped to the paper:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -57,6 +58,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
 
 __all__ = ["TestpointDecision", "RegulatorStats", "ThreadRegulator"]
+
+_INF = math.inf
 
 #: Tolerance (seconds) when deciding whether a testpoint arrived before the
 #: end of its thread's mandated suspension.  Absorbs clock jitter in real
@@ -90,9 +93,15 @@ def _decode_time(value: float | None) -> float:
 _SET_WARMUP_SAMPLES = 4
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TestpointDecision:
     """Outcome of one testpoint call.
+
+    Not frozen: a frozen dataclass sets each field through
+    ``object.__setattr__``, which tripled the cost of building one on the
+    per-testpoint path.  So decisions are mutable and not hashable.  Every
+    call returns a fresh one and the regulator keeps none, so a caller that
+    edits its decision changes nothing else.
 
     Attributes:
         processed: ``False`` when the lightweight gate absorbed the call
@@ -400,16 +409,17 @@ class ThreadRegulator:
             set_state.last_counters = values
             self._processed_testpoints += 1
             self.stats.processed += 1
+            bootstrap = self.in_bootstrap
             if tel is not None:
                 tel.metrics.counters.testpoints_processed.inc()
                 tel.emit(
                     obs_events.PhaseTransition(
                         t=now,
                         src=tel.label,
-                        phase="bootstrap" if self.in_bootstrap else "regulating",
+                        phase="bootstrap" if bootstrap else "regulating",
                     )
                 )
-            return TestpointDecision(processed=True, bootstrap=self.in_bootstrap)
+            return TestpointDecision(processed=True, bootstrap=bootstrap)
 
         # Clock-anomaly guard (section 4.1): a timestamp earlier than the
         # previous processed testpoint means the substrate's clock stepped
@@ -419,16 +429,11 @@ class ThreadRegulator:
         if now < self._last_arrival - _OFF_PROTOCOL_SLACK:
             self.stats.clock_anomalies += 1
             set_state.last_counters = values
-            was_bootstrap = self.in_bootstrap
-            self._processed_testpoints += 1
-            self.stats.processed += 1
-            if tel is not None:
-                tel.metrics.counters.testpoints_processed.inc()
-                self._note_bootstrap_exit(tel, was_bootstrap, now)
+            bootstrap = self._count_processed(tel, now)
             return self._discard_anomalous(
                 now,
                 "clock_backward",
-                bootstrap=self.in_bootstrap,
+                bootstrap=bootstrap,
                 detail=f"testpoint at {now} precedes previous at {self._last_arrival}",
             )
 
@@ -464,17 +469,12 @@ class ThreadRegulator:
             self._discard_next = None
             self.stats.forced_discards += 1
             set_state.last_counters = values
-            was_bootstrap = self.in_bootstrap
-            self._processed_testpoints += 1
-            self.stats.processed += 1
-            if tel is not None:
-                tel.metrics.counters.testpoints_processed.inc()
-                self._note_bootstrap_exit(tel, was_bootstrap, now)
+            bootstrap = self._count_processed(tel, now)
             return self._discard_anomalous(
                 now,
                 reason,
                 duration=max(now - self._interval_start, 0.0),
-                bootstrap=self.in_bootstrap,
+                bootstrap=bootstrap,
             )
 
         off_protocol = now < self._resume_at - _OFF_PROTOCOL_SLACK
@@ -486,28 +486,17 @@ class ThreadRegulator:
         else:
             duration = max(now - self._interval_start, 0.0)
 
-        if set_state.last_counters is None:
-            # First report for a set introduced mid-run: baseline only.
-            set_state.last_counters = values
-            was_bootstrap = self.in_bootstrap
-            self._processed_testpoints += 1
-            self.stats.processed += 1
-            if tel is not None:
-                tel.metrics.counters.testpoints_processed.inc()
-                self._note_bootstrap_exit(tel, was_bootstrap, now)
-            self._finish(now, delay=0.0)
-            return TestpointDecision(processed=True, bootstrap=self.in_bootstrap)
-
-        deltas = tuple(new - old for new, old in zip(values, set_state.last_counters))
+        last_counters = set_state.last_counters
         set_state.last_counters = values
-        was_bootstrap = self.in_bootstrap
-        self._processed_testpoints += 1
-        self.stats.processed += 1
-        if tel is not None:
-            tel.metrics.counters.testpoints_processed.inc()
-            self._note_bootstrap_exit(tel, was_bootstrap, now)
-            if off_protocol:
-                tel.metrics.counters.off_protocol_samples.inc()
+        bootstrap = self._count_processed(tel, now)
+        if last_counters is None:
+            # First report for a set introduced mid-run: baseline only.
+            self._finish(now, delay=0.0)
+            return TestpointDecision(processed=True, bootstrap=bootstrap)
+
+        deltas = tuple(map(operator.sub, values, last_counters))
+        if tel is not None and off_protocol:
+            tel.metrics.counters.off_protocol_samples.inc()
 
         # Hung-thread discard (section 7.1): an interval spanning a large
         # external delay carries no usable rate information.
@@ -527,7 +516,7 @@ class ThreadRegulator:
                         set_index=index,
                         duration=duration,
                         deltas=deltas,
-                        bootstrap=self.in_bootstrap,
+                        bootstrap=bootstrap,
                         off_protocol=off_protocol,
                         discarded_hung=True,
                     )
@@ -538,7 +527,7 @@ class ThreadRegulator:
                 duration=duration,
                 deltas=deltas,
                 discarded_hung=True,
-                bootstrap=self.in_bootstrap,
+                bootstrap=bootstrap,
                 off_protocol=off_protocol,
             )
 
@@ -555,7 +544,7 @@ class ThreadRegulator:
                 now,
                 "zero_elapsed",
                 deltas=deltas,
-                bootstrap=self.in_bootstrap,
+                bootstrap=bootstrap,
                 off_protocol=off_protocol,
             )
 
@@ -564,14 +553,16 @@ class ThreadRegulator:
         # physically implausible (a clock glitch or torn counter read, not
         # a suddenly thousandfold-faster machine).  Folding it into the
         # calibrator would corrupt the learned target, so discard it before
-        # calibration and judgment.
+        # calibration and judgment.  The deltas are finite and non-negative
+        # here, so ``max(deltas) > 0.0`` asks whether any metric moved.
+        calibrator = set_state.calibrator
         if (
-            not self.in_bootstrap
+            not bootstrap
             and not off_protocol
-            and set_state.calibrator.sample_count >= _SET_WARMUP_SAMPLES
-            and any(d > 0.0 for d in deltas)
+            and calibrator.sample_count >= _SET_WARMUP_SAMPLES
+            and max(deltas) > 0.0
         ):
-            expected = set_state.calibrator.target_duration(deltas)
+            expected = calibrator.target_duration(deltas)
             if (
                 math.isfinite(expected)
                 and expected > 0.0
@@ -583,7 +574,7 @@ class ThreadRegulator:
                     "rate_spike",
                     duration=duration,
                     deltas=deltas,
-                    bootstrap=self.in_bootstrap,
+                    bootstrap=bootstrap,
                     off_protocol=off_protocol,
                     detail=(
                         f"duration {duration} vs target {expected} "
@@ -629,7 +620,7 @@ class ThreadRegulator:
                         )
                     )
                 tel.metrics.counters.calibration_samples.inc()
-            set_state.calibrator.update(duration, deltas)
+            calibrator.update(duration, deltas)
             self.stats.calibration_samples += 1
             calibrated = True
         elif tel is not None and off_protocol:
@@ -640,14 +631,11 @@ class ThreadRegulator:
                 )
             )
 
-        bootstrap = self.in_bootstrap
-        warming = set_state.calibrator.sample_count < _SET_WARMUP_SAMPLES
-
         judgment: Judgment | None = None
         target_duration: float | None = None
         delay = 0.0
-        if not bootstrap and not warming:
-            target_duration = set_state.calibrator.target_duration(deltas)
+        if not bootstrap and calibrator.sample_count >= _SET_WARMUP_SAMPLES:
+            target_duration = calibrator.target_duration(deltas)
             judgment = self._comparator.observe(duration, target_duration)
             if judgment is Judgment.POOR:
                 self.stats.poor_judgments += 1
@@ -818,13 +806,24 @@ class ThreadRegulator:
         self._interval_start = now + delay
         self._resume_at = now + delay
 
-    def _note_bootstrap_exit(
-        self, tel: "Telemetry", was_bootstrap: bool, now: float
-    ) -> None:
-        if was_bootstrap and not self.in_bootstrap:
-            tel.emit(
-                obs_events.PhaseTransition(t=now, src=tel.label, phase="regulating")
-            )
+    def _count_processed(self, tel: "Telemetry | None", now: float) -> bool:
+        """Count one processed testpoint after the priming call.
+
+        Returns whether the thread is still in bootstrap afterwards, and
+        reports the bootstrap exit when this testpoint ended it.
+        """
+        limit = self._config.bootstrap_testpoints
+        was_bootstrap = self._processed_testpoints < limit
+        self._processed_testpoints += 1
+        self.stats.processed += 1
+        bootstrap = self._processed_testpoints < limit
+        if tel is not None:
+            tel.metrics.counters.testpoints_processed.inc()
+            if was_bootstrap and not bootstrap:
+                tel.emit(
+                    obs_events.PhaseTransition(t=now, src=tel.label, phase="regulating")
+                )
+        return bootstrap
 
     def _ensure_set(self, index: int, arity: int) -> _MetricSetState:
         state = self._sets.get(index)
@@ -849,12 +848,17 @@ class ThreadRegulator:
             raise MetricError(
                 f"metric set expects {state.arity} metrics, got {len(counters)}"
             )
-        values = tuple(float(c) for c in counters)
-        for i, value in enumerate(values):
-            if not math.isfinite(value):
-                raise MetricError(f"metric {i} is not finite: {value}")
-        if state.last_counters is not None:
-            for i, (new, old) in enumerate(zip(values, state.last_counters)):
+        values = tuple(map(float, counters))
+        # Every metric's finiteness is checked before any monotonicity; the
+        # loops that name the offending metric run only on the error path.
+        for value in values:
+            if not -_INF < value < _INF:
+                for i, bad in enumerate(values):
+                    if not -_INF < bad < _INF:
+                        raise MetricError(f"metric {i} is not finite: {bad}")
+        last = state.last_counters
+        if last is not None and any(map(operator.lt, values, last)):
+            for i, (new, old) in enumerate(zip(values, last)):
                 if new < old:
                     raise MetricError(
                         f"metric {i} regressed from {old} to {new}; counters "

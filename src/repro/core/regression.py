@@ -44,6 +44,8 @@ from repro.obs import events as obs_events
 
 __all__ = ["RidgeCalibrator"]
 
+_INF = math.inf
+
 #: Sweep cap for the Jacobi eigen-solve; it converges quadratically, so a
 #: well-formed system needs a handful.
 _JACOBI_MAX_SWEEPS = 64
@@ -67,10 +69,14 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     m = [row + [bi] for row, bi in zip(a, b)]  # augmented [a | b]
     for k in range(n):
         p = k
+        largest = abs(m[k][k])
         for i in range(k + 1, n):
-            if abs(m[i][k]) > abs(m[p][k]):
+            size = abs(m[i][k])
+            if size > largest:
                 p = i
-        m[k], m[p] = m[p], m[k]
+                largest = size
+        if p != k:
+            m[k], m[p] = m[p], m[k]
         pivot_row = m[k]
         pivot = pivot_row[k]
         if pivot == 0.0:
@@ -285,17 +291,23 @@ class RidgeCalibrator:
             )
         if not math.isfinite(duration) or duration < 0.0:
             raise MetricError(f"duration must be finite and non-negative: {duration}")
-        dp = [float(d) for d in deltas]
-        if not all(0.0 <= d < math.inf for d in dp):
-            raise MetricError(f"progress deltas must be finite and non-negative: {deltas}")
+        dp = list(map(float, deltas))
+        for d in dp:
+            if not 0.0 <= d < _INF:
+                raise MetricError(
+                    f"progress deltas must be finite and non-negative: {deltas}"
+                )
         self._median.observe(duration, _dot(self.coefficients(), dp))
+        # In place: export_state copies and import_state builds fresh lists,
+        # so no caller holds these lists.
         theta = self._theta
-        self._x = [
-            [xij * theta + di * dj for xij, dj in zip(row, dp)]
-            for row, di in zip(self._x, dp)
-        ]
-        self._y = [yi * theta + duration * di for yi, di in zip(self._y, dp)]
-        self._sum_dp = [si * theta + di for si, di in zip(self._sum_dp, dp)]
+        y = self._y
+        sum_dp = self._sum_dp
+        for i, (row, di) in enumerate(zip(self._x, dp)):
+            for j, dj in enumerate(dp):
+                row[j] = row[j] * theta + di * dj
+            y[i] = y[i] * theta + duration * di
+            sum_dp[i] = sum_dp[i] * theta + di
         self._sum_d = theta * self._sum_d + duration
         self._count += 1
         self._coefficients = None
@@ -329,11 +341,9 @@ class RidgeCalibrator:
 
     def _fit(self) -> tuple[float, ...]:
         n = self._arity
-        x = self._x
-        diag = [x[i][i] for i in range(n)]
-        if self._count == 0 or max(diag) <= 0.0:
-            # No progress observed along any metric yet.
+        if self._count == 0:
             return (0.0,) * n
+        x = self._x
         # Standardized ridge: normalize each metric by sqrt of its diagonal
         # before applying the offset, so the perturbation is the same
         # *relative* size for every metric.  This is Eqs. (13)-(14) made
@@ -341,22 +351,43 @@ class RidgeCalibrator:
         # a metric whose magnitude is orders of magnitude below another's
         # (indices counted in ones vs bytes counted in thousands) would be
         # annihilated by the offset rather than merely stabilized.
-        scale = [math.sqrt(d) if d > 0.0 else 1.0 for d in diag]
-        a = [[xij / (si * sj) for xij, sj in zip(row, scale)] for row, si in zip(x, scale)]
-        for i in range(n):
-            a[i][i] += self._nu  # unit diagonal => Q = 1.
+        scale = []
+        moved = False
+        for i, row in enumerate(x):
+            d = row[i]
+            if d > 0.0:
+                scale.append(math.sqrt(d))
+                moved = True
+            else:
+                scale.append(1.0)
+        if not moved:
+            # No progress observed along any metric yet.
+            return (0.0,) * n
+        nu = self._nu
+        a = []
+        for i, (row, si) in enumerate(zip(x, scale)):
+            a_row = [xij / (si * sj) for xij, sj in zip(row, scale)]
+            a_row[i] += nu  # unit diagonal => Q = 1.
+            a.append(a_row)
         b = [yi / si for yi, si in zip(self._y, scale)]
         # A metric can transiently receive a small negative cost when it is
         # strongly anti-correlated with another; a negative time-per-unit is
-        # physically meaningless, so clamp.
-        c = [zi / si for zi, si in zip(_solve(a, b), scale)]
-        c = [ci if ci > 0.0 else 0.0 for ci in c]
+        # physically meaningless, so clamp.  The same pass sums the clamped
+        # costs' predicted aggregate duration, left to right.
+        c = []
+        predicted = 0.0
+        for zi, si, pi in zip(_solve(a, b), scale, self._sum_dp):
+            ci = zi / si
+            if not ci > 0.0:
+                ci = 0.0
+            c.append(ci)
+            predicted += ci * pi
         # Pin the scale: predicted aggregate duration must equal the observed
         # aggregate duration (see the constructor comment).
-        predicted = _dot(c, self._sum_dp)
-        if predicted > 0.0 and self._sum_d > 0.0:
-            k = self._sum_d / predicted
-            c = [ci * k for ci in c]
+        sum_d = self._sum_d
+        if predicted > 0.0 and sum_d > 0.0:
+            k = sum_d / predicted
+            return tuple([ci * k for ci in c])
         return tuple(c)
 
     def rates(self) -> tuple[float, ...]:
@@ -377,4 +408,7 @@ class RidgeCalibrator:
             raise MetricError(
                 f"expected {self._arity} metrics, got {len(deltas)}"
             )
-        return _dot(self.coefficients(), deltas) * self._median.scale
+        c = self._coefficients
+        if c is None:
+            c = self._coefficients = self._fit()
+        return _dot(c, deltas) * self._median.scale

@@ -47,14 +47,16 @@ class CandidateState:
 class MultiplexArbiter:
     """At-most-one-owner arbitration with priority and decay usage."""
 
-    __slots__ = ("_candidates", "_decay", "_next_order", "_owner")
+    __slots__ = ("_candidates", "_decay", "_next_order", "owner")
 
     def __init__(self, usage_decay: float = 0.9) -> None:
         if not 0.0 < usage_decay < 1.0:
             raise ConfigError(f"usage_decay must be in (0, 1), got {usage_decay}")
         self._decay = usage_decay
         self._candidates: dict[Hashable, CandidateState] = {}
-        self._owner: Hashable | None = None
+        #: The candidate currently holding the slot, if any.  A plain
+        #: attribute for cheap reads; only the arbiter writes it.
+        self.owner: Hashable | None = None
         self._next_order = 0
 
     # -- membership --------------------------------------------------------------
@@ -68,10 +70,10 @@ class MultiplexArbiter:
     def remove(self, key: Hashable) -> None:
         """Withdraw a candidate; frees the slot if it was the owner."""
         if key not in self._candidates:
-            raise RegulationStateError(f"unknown candidate {key!r}")
+            raise _unknown(key)
         del self._candidates[key]
-        if self._owner == key:
-            self._owner = None
+        if self.owner == key:
+            self.owner = None
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._candidates
@@ -91,67 +93,80 @@ class MultiplexArbiter:
         """The candidate's current priority."""
         return self._state(key).priority
 
+    # The three below run on every processed testpoint, so they index the
+    # candidates directly instead of calling _state.
     def set_eligible_at(self, key: Hashable, when: float) -> None:
         """Set the earliest time the candidate may own the slot."""
-        self._state(key).eligible_at = when
+        try:
+            self._candidates[key].eligible_at = when
+        except KeyError:
+            raise _unknown(key) from None
 
     def eligible_at(self, key: Hashable) -> float:
         """The candidate's earliest ownership time."""
-        return self._state(key).eligible_at
+        try:
+            return self._candidates[key].eligible_at
+        except KeyError:
+            raise _unknown(key) from None
 
     def charge(self, key: Hashable, amount: float) -> None:
         """Accrue execution usage against a candidate."""
         if amount < 0:
             raise ValueError(f"usage charge must be non-negative, got {amount}")
-        self._state(key).usage += amount
+        try:
+            self._candidates[key].usage += amount
+        except KeyError:
+            raise _unknown(key) from None
 
     def usage(self, key: Hashable) -> float:
         """The candidate's decayed usage."""
         return self._state(key).usage
 
     # -- arbitration -------------------------------------------------------------------
-    @property
-    def owner(self) -> Hashable | None:
-        """The candidate currently holding the slot, if any."""
-        return self._owner
-
     def release(self, key: Hashable) -> None:
         """The owner relinquishes the slot (idempotent for non-owners)."""
-        if self._owner == key:
-            self._owner = None
+        if self.owner == key:
+            self.owner = None
 
     def acquire(self, now: float) -> Hashable | None:
         """Assign the slot to the best eligible candidate, if it is free.
 
-        Decays every candidate's usage (one decision step), then picks the
-        eligible candidate with the highest priority, breaking ties by
-        lowest usage and then admission order.  Returns the (possibly
+        :meth:`peek` followed by :meth:`grant`.  Returns the (possibly
         pre-existing) owner, or ``None`` when the slot stays empty.
         """
-        if self._owner is not None:
-            return self._owner
-        best: Hashable | None = None
-        best_key: tuple[float, float, int] | None = None
-        for key, state in self._candidates.items():
-            if state.eligible_at > now:
-                continue
-            rank = (-state.priority, state.usage, state.order)
-            if best_key is None or rank < best_key:
-                best = key
-                best_key = rank
+        if self.owner is not None:
+            return self.owner
+        best = self.peek(now)
         if best is not None:
-            for state in self._candidates.values():
-                state.usage *= self._decay
-            self._owner = best
+            self.grant(best)
         return best
+
+    def grant(self, key: Hashable) -> None:
+        """Seat ``key`` in the free slot: one decision step.
+
+        Decays every candidate's usage, then makes ``key`` the owner.
+        ``key`` is the candidate :meth:`peek` just named; a caller that
+        must ask elsewhere before committing (the supervisor asks the
+        superintendent) peeks, asks, then grants, scanning once.
+        """
+        if self.owner is not None:
+            raise RegulationStateError(f"slot is held by {self.owner!r}")
+        if key not in self._candidates:
+            raise _unknown(key)
+        decay = self._decay
+        for state in self._candidates.values():
+            state.usage *= decay
+        self.owner = key
 
     def peek(self, now: float) -> Hashable | None:
         """Return the candidate :meth:`acquire` would pick, without mutating.
 
-        Returns the current owner when the slot is held.
+        That is the eligible candidate with the highest priority, ties
+        broken by lowest usage and then admission order, or the current
+        owner when the slot is held.
         """
-        if self._owner is not None:
-            return self._owner
+        if self.owner is not None:
+            return self.owner
         best: Hashable | None = None
         best_key: tuple[float, float, int] | None = None
         for key, state in self._candidates.items():
@@ -171,8 +186,9 @@ class MultiplexArbiter:
         Substrates use this to schedule their wake-up timer.
         """
         earliest: float | None = None
+        owner = self.owner
         for key, state in self._candidates.items():
-            if key == self._owner:
+            if key == owner:
                 continue
             if state.eligible_at <= now:
                 return None
@@ -185,4 +201,8 @@ class MultiplexArbiter:
         try:
             return self._candidates[key]
         except KeyError:
-            raise RegulationStateError(f"unknown candidate {key!r}") from None
+            raise _unknown(key) from None
+
+
+def _unknown(key: Hashable) -> RegulationStateError:
+    return RegulationStateError(f"unknown candidate {key!r}")

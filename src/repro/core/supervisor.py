@@ -159,7 +159,9 @@ class Supervisor:
         call :meth:`poll` afterwards to find out who runs next.  Lightweight
         calls return immediately and the thread keeps the slot.
         """
-        record = self._record(tid)
+        record = self._threads.get(tid)
+        if record is None:
+            raise RegulationStateError(f"unknown thread {tid!r}")
         decision = record.regulator.on_testpoint(now, index, counters)
         if not decision.processed:
             return decision
@@ -208,24 +210,25 @@ class Supervisor:
             self._pid, now
         ):
             return None
-        owner = self._arbiter.acquire(now)
-        if owner is not None:
-            record = self._record(owner)
-            record.released_at = now
-            tel = self._telemetry
-            if tel is not None:
-                tel.tick(now)
-                tel.metrics.counters.slot_grants.inc()
-                if tel.emitting:
-                    tel.emit(
-                        obs_events.SlotGranted(
-                            t=now,
-                            src=tel.label,
-                            process=self._label,
-                            thread=record.label,
-                        )
+        # The superintendent has its own arbiter, so the candidate peeked
+        # above is still the one acquire would pick.
+        self._arbiter.grant(candidate)
+        record = self._threads[candidate]
+        record.released_at = now
+        tel = self._telemetry
+        if tel is not None:
+            tel.tick(now)
+            tel.metrics.counters.slot_grants.inc()
+            if tel.emitting:
+                tel.emit(
+                    obs_events.SlotGranted(
+                        t=now,
+                        src=tel.label,
+                        process=self._label,
+                        thread=record.label,
                     )
-        return owner
+                )
+        return candidate
 
     @property
     def running(self) -> Hashable | None:
@@ -293,7 +296,7 @@ class Supervisor:
         owner = self._arbiter.owner
         if owner is None:
             return None
-        record = self._record(owner)
+        record = self._threads[owner]
         started = record.released_at if record.released_at is not None else record.last_testpoint
         threshold = self.watchdog_threshold(owner)
         stalled_for = now - started

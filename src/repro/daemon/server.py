@@ -85,6 +85,27 @@ _HANDSHAKE_TIMEOUT = 10.0
 _CHAOS_SENDABLE = ("decision", "wait", "pong")
 
 
+def _frame_int(frame: Mapping[str, Any], name: str, default: int | None = None) -> int:
+    """A testpoint frame's integer field; a float or bool is a protocol error."""
+    value = frame.get(name, default)
+    if value.__class__ is not int:
+        raise ProtocolError(f"testpoint {name} must be an integer, got {value!r}")
+    return value
+
+
+def _frame_metrics(frame: Mapping[str, Any]) -> list[float]:
+    """A testpoint frame's metrics: a list of numbers, bools excluded.
+
+    A string would otherwise be read character by character.
+    """
+    raw = frame["metrics"]
+    if raw.__class__ is not list or not all(
+        v.__class__ is int or v.__class__ is float for v in raw
+    ):
+        raise ProtocolError(f"testpoint metrics must be a list of numbers, got {raw!r}")
+    return [float(v) for v in raw]
+
+
 class WorkerSpec:
     """One worker subprocess the daemon spawns and supervises."""
 
@@ -513,10 +534,10 @@ class RegulatorDaemon:
     async def _on_testpoint(self, session: _Session, frame: Mapping[str, Any]) -> None:
         try:
             require_fields(frame, "seq", "metrics")
-            seq = int(frame["seq"])
-            metrics = [float(v) for v in frame["metrics"]]
-            index = int(frame.get("index", 0))
-        except (ProtocolError, TypeError, ValueError) as exc:
+            seq = _frame_int(frame, "seq")
+            metrics = _frame_metrics(frame)
+            index = _frame_int(frame, "index", 0)
+        except (ProtocolError, OverflowError) as exc:
             self.counters["protocol_errors"] += 1
             self._emit_anomaly("bad_frame", detail=f"{session.name}: {exc}")
             return

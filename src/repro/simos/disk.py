@@ -24,7 +24,6 @@ Seek time follows the classic ``a + b * sqrt(distance)`` curve
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from collections import deque
@@ -35,8 +34,6 @@ from repro.simos.bus import Bus
 from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["DiskParams", "DiskStats", "DiskRequest", "Disk"]
-
-_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,13 +241,15 @@ class Disk:
         """
         if kind not in ("read", "write"):
             raise SimulationError(f"unknown disk request kind {kind!r}")
-        if not (0 < nbytes < _INF):
+        # Exact int checks: a float or bool would otherwise be served, and
+        # a float would leak into the head position or the byte counts.
+        if not (nbytes.__class__ is int and 0 < nbytes):
             raise SimulationError(
-                f"request size must be finite and positive, got {nbytes}"
+                f"request size must be a positive int, got {nbytes!r}"
             )
-        if not (0 <= block < self._blocks):
+        if not (block.__class__ is int and 0 <= block < self._blocks):
             raise SimulationError(
-                f"block {block} out of range for {self.name} "
+                f"block {block!r} is not an int in range for {self.name} "
                 f"({self._blocks} blocks)"
             )
         now = self._engine.now

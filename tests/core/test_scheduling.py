@@ -34,6 +34,22 @@ class TestMembership:
         with pytest.raises(RegulationStateError):
             arb.set_priority("ghost", 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda arb: arb.set_eligible_at("ghost", 1.0),
+            lambda arb: arb.eligible_at("ghost"),
+            lambda arb: arb.charge("ghost", 1.0),
+            lambda arb: arb.grant("ghost"),
+            lambda arb: arb.remove("ghost"),
+        ],
+        ids=["set_eligible_at", "eligible_at", "charge", "grant", "remove"],
+    )
+    def test_every_accessor_rejects_an_unknown_key(self, call):
+        arb = MultiplexArbiter()
+        with pytest.raises(RegulationStateError, match="unknown candidate 'ghost'"):
+            call(arb)
+
 
 class TestArbitration:
     def test_single_candidate_wins(self):
@@ -114,6 +130,24 @@ class TestPeekAndWake:
         arb.add("b")
         arb.acquire(0.0)
         assert arb.peek(0.0) == "a"
+
+    def test_grant_seats_and_decays(self):
+        arb = MultiplexArbiter(usage_decay=0.5)
+        arb.add("a")
+        arb.add("b")
+        arb.charge("b", 4.0)
+        arb.grant("b")
+        assert arb.owner == "b"
+        assert arb.usage("b") == 2.0
+
+    def test_grant_refuses_a_held_slot(self):
+        arb = MultiplexArbiter()
+        arb.add("a")
+        arb.add("b")
+        arb.acquire(0.0)
+        with pytest.raises(RegulationStateError, match="held"):
+            arb.grant("b")
+        assert arb.owner == "a"
 
     def test_next_eligible_time(self):
         arb = MultiplexArbiter()

@@ -92,3 +92,33 @@ class TestArbiterInvariants:
                             continue
                         if arbiter.eligible_at(other) <= now:
                             assert arbiter.priority(other) <= arbiter.priority(owner)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arbiter_scripts())
+    def test_peek_then_grant_is_acquire(self, ops):
+        """The supervisor's peek, ask, grant sequence seats whom acquire
+        would, and leaves every usage bit for bit the same."""
+        by_acquire, by_grant = MultiplexArbiter(), MultiplexArbiter()
+        for key in KEYS:
+            by_acquire.add(key)
+            by_grant.add(key)
+        now = 0.0
+        for op, key, value in ops:
+            now += 0.1
+            for arbiter in (by_acquire, by_grant):
+                if op == "release":
+                    arbiter.release(key)
+                elif op == "eligible":
+                    arbiter.set_eligible_at(key, now + value)
+                elif op == "charge":
+                    arbiter.charge(key, value)
+                elif op == "priority":
+                    arbiter.set_priority(key, int(value))
+            if op == "acquire":
+                expected = by_acquire.acquire(now)
+                if by_grant.owner is None:
+                    candidate = by_grant.peek(now)
+                    if candidate is not None:
+                        by_grant.grant(candidate)
+                assert by_grant.owner == expected
+            assert [by_grant.usage(k) for k in KEYS] == [by_acquire.usage(k) for k in KEYS]

@@ -20,7 +20,7 @@ import pytest
 from repro.core.errors import ConfigError
 from repro.daemon.client import ControlClient, DaemonClient
 from repro.daemon.journal import StateJournal, state_digest
-from repro.daemon.protocol import decode_frame, encode_frame
+from repro.daemon.protocol import PROTOCOL_VERSION, decode_frame, encode_frame
 from repro.daemon.server import RegulatorDaemon
 from repro.daemon.soak import match_faults, soak_config
 from repro.obs.events import FaultInjected, RecoveryAction
@@ -101,6 +101,40 @@ class TestRoundTrip:
                 reply = decode_frame(raw.makefile("rb").readline().rstrip(b"\n"))
             assert reply["op"] == "reject"
             assert "version" in reply["reason"]
+
+    def test_mistyped_testpoint_fields_are_protocol_errors(self, rundir):
+        bad_frames = [
+            {"metrics": "12"},  # a string would be read character by character
+            {"metrics": [True, 1.0]},
+            {"metrics": {"a": 1.0}},
+            {"metrics": [10**400]},  # no float can hold it
+            {"seq": 2.7},
+            {"seq": True},
+            {"index": 1.5},
+            {"index": False},
+        ]
+        with LiveDaemon(rundir) as live:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(5.0)
+                raw.connect(live.socket_path)
+                replies = raw.makefile("rb")
+                hello = {"op": "hello", "proto": PROTOCOL_VERSION, "role": "worker", "name": "w1"}
+                raw.sendall(encode_frame(hello))
+                assert decode_frame(replies.readline().rstrip(b"\n"))["op"] == "welcome"
+                for fields in bad_frames:
+                    frame = {"op": "testpoint", "seq": 1, "metrics": [1.0, 2.0], **fields}
+                    raw.sendall(encode_frame(frame))
+                # None of them reached the supervisor: seq 1 is still fresh,
+                # and metric set 0 takes its arity from this frame.
+                raw.sendall(encode_frame({"op": "testpoint", "seq": 1, "metrics": [5.0]}))
+                reply = decode_frame(replies.readline().rstrip(b"\n"))
+                assert reply["op"] == "decision" and reply["seq"] == 1
+                assert "error" not in reply
+                counters = _counters_when(live, lambda c: c["testpoints"] >= 1)
+        assert counters["protocol_errors"] == len(bad_frames)
+        assert counters["testpoints"] == 1
+        bad = [e for e in live.events() if getattr(e, "anomaly", None) == "bad_frame"]
+        assert len(bad) == len(bad_frames)
 
     def test_vanished_worker_releases_its_slot(self, rundir):
         with LiveDaemon(rundir) as live:

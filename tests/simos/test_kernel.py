@@ -318,6 +318,10 @@ class TestRejectedEffects:
         "infinite-byte read": (lambda: DiskRead("C", 0, math.inf), SimulationError),
         "NaN-byte write": (lambda: DiskWrite("C", 0, math.nan), SimulationError),
         "NaN block": (lambda: DiskRead("C", math.nan, 4096), SimulationError),
+        # Non-int arguments: a float or bool block or size is never served.
+        "float block": (lambda: DiskRead("C", 1.5, 4096), SimulationError),
+        "float-byte read": (lambda: DiskRead("C", 0, 4096.5), SimulationError),
+        "bool block": (lambda: DiskRead("C", True, 4096), SimulationError),
     }
 
     @pytest.mark.parametrize("case", sorted(REJECTED))
