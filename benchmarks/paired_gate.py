@@ -22,7 +22,11 @@ The change fails the gate when, on any workload:
   share of its attempted trials than the parent.
 
 Directions and bounds come from the parent's ``BENCHMARK.json``, so the
-change under test cannot loosen them.  Exit codes: 0 pass, 1 fail, 2 when
+change under test cannot loosen them.
+
+For each workload it also reports, without judging, whether every pair's
+parent and change printed the same ``digest first4`` line: equal digests
+mean the same simulation, and a deliberate model change moves them.  Exit codes: 0 pass, 1 fail, 2 when
 perfbench could not run in a checkout (no result line; its stderr is
 printed).  docs/performance.md records how the constants below were sized.
 """
@@ -47,6 +51,8 @@ HEADLINE = "trials_per_s"
 LOSING_SHARE = 0.9
 #: Where each run's standard output is kept, relative to the current directory.
 OUT = Path("perf-gate")
+#: perfbench's fixed-prefix digest line: a hash of its first four trials.
+DIGEST = "digest first4"
 
 
 def run_once(manifest: dict, checkout: Path, workload: str, log: Path) -> dict:
@@ -65,7 +71,7 @@ def run_once(manifest: dict, checkout: Path, workload: str, log: Path) -> dict:
     log.write_text(done.stdout + done.stderr, encoding="utf-8")
     lines = done.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         print(
             f"error: perfbench printed no result in {checkout} "
@@ -73,6 +79,27 @@ def run_once(manifest: dict, checkout: Path, workload: str, log: Path) -> dict:
             file=sys.stderr,
         )
         raise SystemExit(2) from None
+    result[DIGEST] = first_digest(done.stdout)
+    return result
+
+
+def first_digest(stdout: str) -> str | None:
+    """The value of perfbench's ``digest first4 = ...`` line, or ``None``."""
+    prefix = DIGEST + " = "
+    for line in stdout.splitlines():
+        if line.startswith(prefix):
+            return line[len(prefix):].strip()
+    return None
+
+
+def digest_line(pairs: list[tuple[dict, dict]]) -> str:
+    """Report whether each pair's parent and change ran the same simulation."""
+    same = sum(
+        parent.get(DIGEST) is not None and parent.get(DIGEST) == change.get(DIGEST)
+        for parent, change in pairs
+    )
+    verdict = "identical" if same == len(pairs) else "differs"
+    return f"{DIGEST:<17} same in {same} of {len(pairs)} pairs ({verdict})"
 
 
 def worse_by(better: str, parent: float, change: float) -> float:
@@ -86,6 +113,7 @@ def judge(manifest: dict, pairs: list[tuple[dict, dict]]) -> tuple[list[str], li
     """Judge one workload's ``(parent result, change result)`` pairs.
 
     Returns ``(report lines, failures)``; an empty failure list is a pass.
+    The last report line is :func:`digest_line`, which never fails.
     """
     lines: list[str] = []
     failures: list[str] = []
@@ -135,6 +163,7 @@ def judge(manifest: dict, pairs: list[tuple[dict, dict]]) -> tuple[list[str], li
                     f"{abs(change - parent):.4g} apart, parent IQR {p3 - p1:.4g}"
                 )
         lines.append(line)
+    lines.append(digest_line(pairs))
     return lines, failures
 
 

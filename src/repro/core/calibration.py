@@ -221,9 +221,10 @@ class SingleMetricCalibrator:
                             },
                         )
                     )
+            gauges = tel.metrics.gauges
             if self._avg.value is not None:
-                tel.metrics.gauges.target_rate.set(self._avg.value)
-            tel.metrics.gauges.calibration_scale.set(self._median.scale)
+                gauges.target_rate.value = self._avg.value
+            gauges.calibration_scale.value = self._median.scale
             tel.metrics.histograms.progress_rate.observe(dp / duration)
 
     def _mean_duration(self, deltas: Sequence[float]) -> float:

@@ -105,7 +105,8 @@ class StatisticalComparator:
             # functions by tests/core/test_signtest.py.
             return self._test.add_sample(below)
         test = self._test
-        if test.sample_count == 0:
+        in_window = test.sample_count
+        if in_window == 0:
             self._window_opened = tel.now
         # The window resets on a definitive verdict; capture its size first
         # (only when an event will actually be built — a NullSink run skips
@@ -113,7 +114,7 @@ class StatisticalComparator:
         emitting = tel.emitting
         ctx = tel.trace_ctx if emitting else None
         if emitting:
-            samples = test.sample_count + 1
+            samples = in_window + 1
             below_count = test.below_count + (1 if below else 0)
         if ctx is not None:
             # One span per accumulation step, carrying the exact evidence:

@@ -450,15 +450,16 @@ class ThreadRegulator:
                 tel.metrics.counters.testpoints_lightweight.inc()
             return TestpointDecision(processed=False)
 
+        # Read once: nothing below moves the start time or the config.
+        probation = self.in_probation(now)
         if tel is not None:
-            in_probation_now = self.in_probation(now)
-            if self._was_in_probation and not in_probation_now:
+            if self._was_in_probation and not probation:
                 tel.emit(
                     obs_events.PhaseTransition(
                         t=now, src=tel.label, phase="probation_ended"
                     )
                 )
-            self._was_in_probation = in_probation_now
+            self._was_in_probation = probation
 
         # A pending forced discard (the supervisor's watchdog evicted this
         # thread mid-interval): the interval spans an external stall, so it
@@ -598,7 +599,7 @@ class ThreadRegulator:
                         "set_index": index,
                         "duration": duration,
                         "off_protocol": off_protocol,
-                        "probation": self.in_probation(now),
+                        "probation": probation,
                     },
                 )
             )
@@ -667,7 +668,7 @@ class ThreadRegulator:
         # of the time, bounding the damage of a target bootstrapped on a
         # loaded system.
         probation_delay = 0.0
-        if self.in_probation(now):
+        if probation:
             floor = duration * (1.0 - self._config.probation_duty) / self._config.probation_duty
             if floor > delay:
                 probation_delay = floor - delay
@@ -702,11 +703,12 @@ class ThreadRegulator:
             tel.metrics.counters.execution_seconds.inc(duration)
             tel.metrics.counters.suspension_seconds.inc(delay)
             tel.metrics.histograms.testpoint_duration.observe(duration)
-            tel.metrics.gauges.backoff_level.set(
-                float(self._suspension.consecutive_poor)
-            )
+            # Gauges are written through their ``value`` attribute: a
+            # ``set`` call per processed testpoint is telemetry's own cost.
+            gauges = tel.metrics.gauges
+            gauges.backoff_level.value = float(self._suspension.consecutive_poor)
             if target_duration is not None:
-                tel.metrics.gauges.target_duration.set(target_duration)
+                gauges.target_duration.value = target_duration
             if tel.emitting:
                 tel.emit(
                     obs_events.TestpointProcessed(

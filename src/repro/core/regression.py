@@ -313,6 +313,7 @@ class RidgeCalibrator:
         self._coefficients = None
         tel = self._telemetry
         if tel is not None:
+            scale = self._median.scale
             if tel.emitting:
                 tel.emit(
                     obs_events.TargetUpdated(
@@ -321,10 +322,10 @@ class RidgeCalibrator:
                         set_index=self._set_index,
                         sample_count=self._count,
                         target_rate=None,
-                        scale=self._median.scale,
+                        scale=scale,
                     )
                 )
-            tel.metrics.gauges.calibration_scale.set(self._median.scale)
+            tel.metrics.gauges.calibration_scale.value = scale
 
     def coefficients(self) -> tuple[float, ...]:
         """Solve the ridge-regularized normal equations for ``c_k = 1/r_k``.

@@ -30,6 +30,8 @@ from repro.core.errors import ConfigError, RegulationStateError
 
 __all__ = ["CandidateState", "MultiplexArbiter"]
 
+_INF = math.inf
+
 
 @dataclass(slots=True)
 class CandidateState:
@@ -111,8 +113,8 @@ class MultiplexArbiter:
 
     def charge(self, key: Hashable, amount: float) -> None:
         """Accrue execution usage against a candidate."""
-        if amount < 0:
-            raise ValueError(f"usage charge must be non-negative, got {amount}")
+        if not 0 <= amount < _INF:
+            raise ValueError(f"usage charge must be finite and non-negative, got {amount}")
         try:
             self._candidates[key].usage += amount
         except KeyError:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 from repro.core.comparator import RateComparator
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.controller import TestpointDecision, ThreadRegulator
-from repro.core.errors import RegulationStateError
+from repro.core.errors import MetricError, RegulationStateError
 from repro.core.scheduling import MultiplexArbiter
 from repro.core.superintendent import Superintendent
 from repro.obs import events as obs_events
@@ -48,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
 
 __all__ = ["Supervisor", "ThreadRecord"]
+
+_INF = math.inf
 
 
 @dataclass(slots=True)
@@ -292,7 +294,14 @@ class Supervisor:
         testpoint spacing is evicted early — and its regulator is told to
         discard the interval (the regulator's own hung discard only
         covers gaps beyond the full hung threshold).
+
+        Raises:
+            MetricError: ``now`` is not finite (raised before any state
+                changes; a NaN would evict a healthy owner and charge it
+                NaN usage).
         """
+        if not -_INF < now < _INF:
+            raise MetricError(f"watchdog time is not finite: {now}")
         owner = self._arbiter.owner
         if owner is None:
             return None

@@ -45,7 +45,8 @@ class Bus:
     __slots__ = ("_engine", "_post_after", "bandwidth", "name", "_busy", "_queue", "stats")
 
     def __init__(self, engine: Engine, bandwidth: float, name: str = "scsi0") -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:
+            # Written so that NaN fails too; an infinite bus is unlimited.
             raise SimulationError(f"bus bandwidth must be positive, got {bandwidth}")
         self._engine = engine
         self._post_after = engine.post_after
@@ -88,16 +89,18 @@ class Bus:
             return
         # Idle with nothing waiting: the transfer was the whole queue for
         # an instant, and starts now.
-        if self.stats.queued_peak < 1:
-            self.stats.queued_peak = 1
-        self._start(duration, on_done, args)
+        stats = self.stats
+        if stats.queued_peak < 1:
+            stats.queued_peak = 1
+        self._busy = True
+        stats.transfers += 1
+        stats.busy_time += duration
+        self._post_after(duration, self._finish, on_done, args)
 
     # -- internals ------------------------------------------------------------
     def _pump(self) -> None:
         """Start the oldest waiting transfer; the bus is idle, the queue is not."""
-        self._start(*self._queue.popleft())
-
-    def _start(self, duration: float, on_done: Callable[..., None], args: tuple) -> None:
+        duration, on_done, args = self._queue.popleft()
         self._busy = True
         stats = self.stats
         stats.transfers += 1

@@ -82,7 +82,8 @@ class CPU:
     )
 
     def __init__(self, engine: Engine, quantum: float = 0.02) -> None:
-        if quantum <= 0:
+        if not quantum > 0:
+            # Written so that NaN fails too.
             raise SimulationError(f"quantum must be positive, got {quantum}")
         self._engine = engine
         self._quantum = quantum

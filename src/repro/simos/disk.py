@@ -24,6 +24,7 @@ Seek time follows the classic ``a + b * sqrt(distance)`` curve
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from collections import deque
@@ -34,6 +35,8 @@ from repro.simos.bus import Bus
 from repro.simos.engine import Engine, SimulationError
 
 __all__ = ["DiskParams", "DiskStats", "DiskRequest", "Disk"]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +64,26 @@ class DiskParams:
     overhead: float = 0.0003
     #: Logical block size, in bytes.
     block_size: int = 4096
+
+    def __post_init__(self) -> None:
+        # Checked once here, so a bad drive fails at construction rather
+        # than mid-run, with its disk busy and its thread blocked.
+        for name in ("cylinders", "capacity", "block_size"):
+            value = getattr(self, name)
+            if not (value.__class__ is int and value > 0):
+                raise SimulationError(f"DiskParams.{name} must be a positive int, got {value!r}")
+        for name in ("rotation_period", "transfer_rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < _INF:
+                raise SimulationError(
+                    f"DiskParams.{name} must be finite and positive, got {value!r}"
+                )
+        for name in ("seek_base", "seek_factor", "overhead"):
+            value = getattr(self, name)
+            if not 0.0 <= value < _INF:
+                raise SimulationError(
+                    f"DiskParams.{name} must be finite and non-negative, got {value!r}"
+                )
 
     @property
     def blocks(self) -> int:
@@ -127,10 +150,12 @@ class Disk:
     The request path is the hot loop of every paper scenario, so the
     geometry and timing constants are read once from the frozen
     :class:`DiskParams`, an idle drive serves a new request without
-    queueing it, and a completion pumps the queue only when work is
-    waiting.  None of that changes what is simulated: each request still
-    posts one positioning event, then one transfer event, and draws the
-    same rotational-latency sample as a queued request would.
+    building a :class:`DiskRequest` (its positioning and transfer events
+    carry ``(kind, block, nbytes, on_done)`` as arguments), and a
+    completion pumps the queue only when work is waiting.  None of that
+    changes what is simulated: each request still posts one positioning
+    event, then one transfer event, and draws the same rotational-latency
+    sample as a queued request would.
     """
 
     __slots__ = (
@@ -252,22 +277,30 @@ class Disk:
                 f"block {block!r} is not an int in range for {self.name} "
                 f"({self._blocks} blocks)"
             )
-        now = self._engine.now
-        request = DiskRequest(kind, block, nbytes, on_done, now)
         queue = self._queue
         stats = self.stats
         if self._busy or queue:
-            queue.append(request)
+            queue.append(DiskRequest(kind, block, nbytes, on_done, self._engine.now))
             if len(queue) > stats.queued_peak:
                 stats.queued_peak = len(queue)
             if not self._busy:
                 self._pump()
             return
-        # Idle with nothing waiting: serve at once.  The request was the
-        # whole queue for an instant and waited zero seconds in it.
+        # Idle with nothing waiting: serve at once, with no request object.
+        # The request was the whole queue for an instant and waited zero
+        # seconds in it.
         if stats.queued_peak < 1:
             stats.queued_peak = 1
-        self._serve(request, now)
+        self._busy = True
+        self._service_started = self._engine.now
+        stats.requests += 1
+        if block == self._last_end_block:
+            # Track-buffer / zero-latency continuation.
+            stats.sequential_hits += 1
+            delay = self._overhead
+        else:
+            delay = self._seek(block)
+        self._post_after(delay, self._start_transfer, kind, block, nbytes, on_done)
 
     # -- internals ---------------------------------------------------------------------
     def _pump(self) -> None:
@@ -279,15 +312,18 @@ class Disk:
         stats.queue_wait_time += wait
         if wait > stats.max_queue_wait:
             stats.max_queue_wait = wait
-        self._serve(request, now)
-
-    def _serve(self, request: DiskRequest, now: float) -> None:
-        """Start positioning for ``request``; its transfer follows."""
         self._busy = True
         self._service_started = now
-        self.stats.requests += 1
+        stats.requests += 1
+        block = request.block
+        if block == self._last_end_block:
+            stats.sequential_hits += 1
+            delay = self._overhead
+        else:
+            delay = self._seek(block)
         self._post_after(
-            self._mechanical_time(request), self._start_transfer, request
+            delay, self._start_transfer,
+            request.kind, block, request.nbytes, request.on_done,
         )
 
     def _select(self) -> DiskRequest:
@@ -317,13 +353,12 @@ class Disk:
         self._queue.remove(request)
         return request
 
-    def _mechanical_time(self, request: DiskRequest) -> float:
-        """Positioning time: overhead + seek + rotational latency."""
-        block = request.block
-        if block == self._last_end_block:
-            # Track-buffer / zero-latency continuation.
-            self.stats.sequential_hits += 1
-            return self._overhead
+    def _seek(self, block: int) -> float:
+        """Positioning time of a non-sequential request at ``block``.
+
+        Overhead, the seek from the head's cylinder, and one rotational
+        latency drawn from the drive's rng; the head moves to the target.
+        """
         target = block // self._blocks_per_cylinder
         if target > self._last_cylinder:
             target = self._last_cylinder
@@ -335,34 +370,37 @@ class Disk:
             return self._overhead + seek + rotation
         return self._overhead + rotation
 
-    def _start_transfer(self, request: DiskRequest) -> None:
+    def _start_transfer(
+        self, kind: str, block: int, nbytes: int, on_done: Callable[[], None]
+    ) -> None:
         bus = self._bus
         if bus is not None:
             rate = self._transfer_rate
             if bus.bandwidth < rate:
                 rate = bus.bandwidth
-            bus.transfer(request.nbytes / rate, self._finish, request)
+            bus.transfer(nbytes / rate, self._finish, kind, block, nbytes, on_done)
         else:
             self._post_after(
-                request.nbytes / self._transfer_rate, self._finish, request
+                nbytes / self._transfer_rate, self._finish, kind, block, nbytes, on_done
             )
 
-    def _finish(self, request: DiskRequest) -> None:
-        nbytes = request.nbytes
+    def _finish(
+        self, kind: str, block: int, nbytes: int, on_done: Callable[[], None]
+    ) -> None:
         # nbytes > 0 (checked on submit), so the span is at least one block.
-        end = request.block - (-nbytes // self._block_size)
+        end = block - (-nbytes // self._block_size)
         self._last_end_block = end
         if end >= self._blocks:
             end = self._blocks - 1
         head = end // self._blocks_per_cylinder
         self._head_cylinder = head if head < self._last_cylinder else self._last_cylinder
         stats = self.stats
-        if request.kind == "read":
+        if kind == "read":
             stats.bytes_read += nbytes
         else:
             stats.bytes_written += nbytes
         stats.busy_time += self._engine.now - self._service_started
         self._busy = False
-        request.on_done()
+        on_done()
         if self._queue and not self._busy:
             self._pump()

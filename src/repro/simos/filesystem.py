@@ -24,8 +24,8 @@ disk model.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -38,6 +38,11 @@ __all__ = [
     "Volume",
     "populate_volume",
 ]
+
+#: Builds an ``Extent`` or ``ChangeRecord`` from a field tuple without the
+#: NamedTuple ``__new__`` call; the object is the same type with the same
+#: fields.
+_tuple_new = tuple.__new__
 
 
 class Extent(NamedTuple):
@@ -70,7 +75,10 @@ class SimFile:
     @property
     def blocks(self) -> int:
         """Number of blocks the file occupies."""
-        return sum(e.count for e in self.extents)
+        total = 0
+        for _, count in self.extents:
+            total += count
+        return total
 
     @property
     def fragments(self) -> int:
@@ -183,8 +191,9 @@ class Volume:
         return self._journal[usn:]
 
     def _log(self, file_id: int, reason: str, when: float) -> None:
-        self._journal.append(ChangeRecord(self._next_usn, file_id, reason, when))
-        self._next_usn += 1
+        usn = self._next_usn
+        self._journal.append(_tuple_new(ChangeRecord, (usn, file_id, reason, when)))
+        self._next_usn = usn + 1
 
     # -- allocation --------------------------------------------------------------------
     def allocate(self, blocks: int, fragments: int = 1, spread_seed: int | None = None) -> list[Extent]:
@@ -200,22 +209,30 @@ class Volume:
         """
         if blocks <= 0:
             raise SimulationError(f"allocation must be positive, got {blocks}")
-        if blocks > self.free_blocks:
+        if blocks > self._free_total:
             raise SimulationError(
-                f"volume {self.name} full: need {blocks}, have {self.free_blocks}"
+                f"volume {self.name} full: need {blocks}, have {self._free_total}"
             )
-        fragments = max(1, min(fragments, blocks))
-        piece_sizes = self._split_sizes(blocks, fragments)
+        if fragments < 1:
+            fragments = 1
+        elif fragments > blocks:
+            fragments = blocks
         starts = self._starts
         if len(starts) == 1:
             # Carving never adds a run, so from a one-run free list every
             # piece has one candidate and first fit and the seeded random
             # fit agree: the pieces lie end to end from the run's start,
-            # and the run (which holds all ``blocks``) shrinks once.
+            # and the run (which holds all ``blocks``) shrinks once.  The
+            # first ``extra`` pieces are one block longer, as in
+            # ``_split_sizes``.
+            base, extra = divmod(blocks, fragments)
+            size = base + 1
             start = starts[0]
             out: list[Extent] = []
-            for size in piece_sizes:
-                out.append(Extent(start, size))
+            for i in range(fragments):
+                if i == extra:
+                    size = base
+                out.append(_tuple_new(Extent, (start, size)))
                 start += size
             counts = self._counts
             if counts[0] > blocks:
@@ -229,7 +246,7 @@ class Volume:
         rng = random.Random(spread_seed) if spread_seed is not None else None
         out = []
         try:
-            for size in piece_sizes:
+            for size in self._split_sizes(blocks, fragments):
                 out.append(self._allocate_piece(size, rng))
         except SimulationError:
             self.free(out)
@@ -272,22 +289,55 @@ class Volume:
             del self._starts[index]
             del counts[index]
         self._free_total -= size
-        return Extent(start, size)
+        return _tuple_new(Extent, (start, size))
 
     def free(self, extents: list[Extent]) -> None:
-        """Return extents to the free pool (coalescing neighbours)."""
+        """Return extents to the free pool (coalescing neighbours).
+
+        Consecutive extents that touch (each starts where the one before
+        ends, as a fragmented file's pieces do) are placed as one run, so
+        a file laid out end to end costs one bisect.  A run that overlaps
+        free space or leaves the volume raises :class:`SimulationError`
+        (a double free would otherwise count its blocks twice, and a
+        later fit could hand them to two files); the runs placed before
+        it stay freed.
+        """
         starts, counts = self._starts, self._counts
-        for extent in extents:
-            start, count = extent.start, extent.count
-            i = bisect.bisect_left(starts, start)
-            joins_right = i < len(starts) and start + count == starts[i]
-            if i > 0 and starts[i - 1] + counts[i - 1] == start:
-                counts[i - 1] += count
-                if joins_right:
-                    counts[i - 1] += counts[i]
+        total = self.total_blocks
+        n = len(extents)
+        k = 0
+        while k < n:
+            start, count = extents[k]
+            end = start + count
+            k += 1
+            while k < n:
+                next_start, count = extents[k]
+                if next_start != end:
+                    break
+                end += count
+                k += 1
+            if not 0 <= start < end <= total:
+                raise SimulationError(
+                    f"volume {self.name}: cannot free blocks [{start}, {end}), "
+                    f"outside [0, {total})"
+                )
+            i = bisect_left(starts, start)
+            left_end = starts[i - 1] + counts[i - 1] if i else -1
+            right = starts[i] if i < len(starts) else total + 1
+            if left_end > start or end > right:
+                raise SimulationError(
+                    f"volume {self.name}: cannot free blocks [{start}, {end}), "
+                    "they overlap free space"
+                )
+            count = end - start
+            if left_end == start:
+                if end == right:
+                    counts[i - 1] += count + counts[i]
                     del starts[i]
                     del counts[i]
-            elif joins_right:
+                else:
+                    counts[i - 1] += count
+            elif end == right:
                 starts[i] = start
                 counts[i] += count
             else:

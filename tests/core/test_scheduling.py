@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.errors import RegulationStateError
@@ -115,6 +117,15 @@ class TestArbitration:
         arb.add("a")
         with pytest.raises(ValueError):
             arb.charge("a", -1.0)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_non_finite_charge_rejected(self, amount):
+        arb = MultiplexArbiter()
+        arb.add("a")
+        arb.charge("a", 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            arb.charge("a", amount)
+        assert arb.usage("a") == 2.0
 
 
 class TestPeekAndWake:

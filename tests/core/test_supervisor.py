@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
-from repro.core.errors import RegulationStateError
+from repro.core.errors import MetricError, RegulationStateError
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
 from repro.obs.sinks import MemorySink
@@ -127,6 +128,23 @@ class TestHungEviction:
         sup.poll(clock.now())
         clock.advance(fast_config.hung_threshold / 2)
         assert sup.check_hung(clock.now()) is None
+
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_before_any_change(self, fast_config, now):
+        # A NaN compared as "stalled" and evicted a healthy owner, then
+        # charged it NaN usage at both arbitration levels.
+        boss = Superintendent()
+        sup = Supervisor(fast_config, superintendent=boss, process_id="P")
+        sup.register_thread("a")
+        sup.register_thread("b")
+        assert sup.poll(1.0) == "a"
+        with pytest.raises(MetricError, match="not finite"):
+            sup.check_hung(now)
+        assert sup.running == "a"
+        assert not sup.is_hung("a")
+        assert sup.check_hung(1.0 + fast_config.hung_threshold / 2) is None
+        assert sup.check_hung(2.0 + fast_config.hung_threshold) == "a"
+        assert sup.poll(2.0 + fast_config.hung_threshold) == "b"
 
     def test_hung_flag_clears_on_return(self, fast_config, clock):
         sup = Supervisor(fast_config)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.simos.bus import Bus
-from repro.simos.disk import CDROM_PARAMS, Disk
+from repro.simos.disk import CDROM_PARAMS, Disk, DiskParams
 from repro.simos.engine import Engine, SimulationError
 
 
@@ -147,6 +147,52 @@ class TestValidation:
         assert disk.stats.requests == 2
         assert disk.stats.bytes_read == 8192
         assert disk.stats.bytes_written == 4096
+
+
+class TestParamsValidation:
+    """A bad drive fails when its parameters are built, not mid-run.
+
+    Before these checks, a zero transfer rate raised ``ZeroDivisionError``
+    out of ``Kernel.run`` at the first transfer, and a NaN rotation period
+    failed the thread with the disk left busy for good.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("transfer_rate", 0.0),
+            ("transfer_rate", -1.0),
+            ("transfer_rate", math.nan),
+            ("transfer_rate", math.inf),
+            ("rotation_period", 0.0),
+            ("rotation_period", math.nan),
+            ("rotation_period", math.inf),
+            ("overhead", -1.0),
+            ("overhead", math.nan),
+            ("seek_base", -0.001),
+            ("seek_base", math.inf),
+            ("seek_factor", math.inf),
+            ("seek_factor", math.nan),
+            ("cylinders", 0),
+            ("cylinders", 5200.0),
+            ("capacity", -4096),
+            ("capacity", 4.3e9),
+            ("block_size", 0),
+            ("block_size", True),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(SimulationError, match=f"DiskParams.{field}"):
+            DiskParams(**{field: value})
+
+    def test_zero_seek_and_overhead_accepted(self):
+        params = DiskParams(seek_base=0.0, seek_factor=0.0, overhead=0.0)
+        engine = Engine()
+        disk = Disk(engine, params=params)
+        # One rotation at most: no overhead and no seek cost anything.
+        assert 0.0 < _complete(disk, engine, "read", 1000, 4096) < (
+            params.rotation_period + 4096 / params.transfer_rate
+        )
 
 
 class TestBusCoupling:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simos.engine import SimulationError
-from repro.simos.filesystem import Extent, Volume, populate_volume
+from repro.simos.filesystem import ChangeRecord, Extent, Volume, populate_volume
 
 
 def make_volume(blocks=10_000) -> Volume:
@@ -664,3 +665,150 @@ class TestFreeSpaceDifferential:
             assert len(free_runs(volume)) == 2
             volume.create_file("f", 20 * 4096, when=0.0, fragments=2, spread_seed=spread_seed)
         assert layout(volumes[0]) == layout(volumes[1])
+
+
+class TestOneRunAllocate:
+    """Piece sizes carved from a one-run free list, against ``_split_sizes``."""
+
+    @pytest.mark.parametrize(
+        "blocks, fragments, sizes",
+        [
+            (10, 0, [10]),
+            (10, -3, [10]),
+            (10, 1, [10]),
+            (10, 3, [4, 3, 3]),
+            (10, 4, [3, 3, 2, 2]),
+            (10, 10, [1] * 10),
+            (10, 25, [1] * 10),
+            (100, 7, [15, 15, 14, 14, 14, 14, 14]),
+        ],
+    )
+    def test_fragment_counts(self, blocks, fragments, sizes):
+        vol = make_volume(blocks=100)
+        ref = ListVolume("C", "C", total_blocks=100)
+        extents = vol.allocate(blocks, fragments=fragments)
+        assert extents == ref.allocate(blocks, fragments=fragments)
+        assert [e.count for e in extents] == sizes
+        assert [e.start for e in extents] == list(itertools.accumulate([0] + sizes[:-1]))
+        assert free_runs(vol) == ref.runs
+        assert vol.free_blocks == 100 - blocks
+        # Built without the NamedTuple constructor, but the same records.
+        assert all(type(e) is Extent for e in extents)
+        assert repr(extents[0]) == f"Extent(start=0, count={sizes[0]})"
+        assert hash(extents[0]) == hash(Extent(0, sizes[0]))
+
+    def test_journal_records_are_change_records(self):
+        vol = make_volume(blocks=100)
+        f = vol.create_file("a", 4096, when=2.5)
+        (record,) = vol.journal_since(0)
+        assert type(record) is ChangeRecord
+        assert record == ChangeRecord(1, f.file_id, "create", 2.5)
+        assert record.reason == "create" and record.when == 2.5
+        assert repr(record) == (
+            f"ChangeRecord(usn=1, file_id={f.file_id}, reason='create', when=2.5)"
+        )
+
+
+class TestFree:
+    """``free`` places touching extents as one run and refuses bad runs."""
+
+    @pytest.mark.parametrize("order", ["address", "reversed", "shuffled"])
+    def test_touching_fragments_match_list_reference(self, order):
+        # The Fig layout: every file's 2-10 fragments are carved end to
+        # end from a one-run free list, and each file starts where the one
+        # before it ends.  Files are freed alone or with their neighbour
+        # in one call, their extents in or out of address order, with
+        # seeded and first-fit allocations in between.
+        rng = random.Random(f"touching-{order}")
+        vol = make_volume(blocks=6_000)
+        ref = ListVolume("C", "C", total_blocks=6_000)
+        live = []
+        for _ in range(60):
+            blocks, fragments = rng.randint(2, 60), rng.randint(2, 10)
+            extents = vol.allocate(blocks, fragments=fragments)
+            assert extents == ref.allocate(blocks, fragments=fragments)
+            assert all(a.end == b.start for a, b in zip(extents, extents[1:]))
+            live.append(extents)
+        merged_calls = most_runs = 0
+        for _ in range(300):
+            if live and rng.random() < 0.5:
+                i = rng.randrange(len(live))
+                extents = live.pop(i)
+                if i < len(live) and rng.random() < 0.4:
+                    extents = extents + live.pop(i)
+                    merged_calls += 1
+                if order == "reversed":
+                    extents = extents[::-1]
+                elif order == "shuffled":
+                    extents = rng.sample(extents, len(extents))
+                vol.free(extents)
+                ref.free(extents)
+            else:
+                blocks, fragments = rng.randint(1, 80), rng.randint(1, 10)
+                seed = rng.choice([None, rng.randrange(1 << 20)])
+                try:
+                    extents = vol.allocate(blocks, fragments=fragments, spread_seed=seed)
+                except SimulationError as exc:
+                    with pytest.raises(SimulationError) as ref_exc:
+                        ref.allocate(blocks, fragments=fragments, spread_seed=seed)
+                    assert str(exc) == str(ref_exc.value)
+                else:
+                    assert extents == ref.allocate(
+                        blocks, fragments=fragments, spread_seed=seed
+                    )
+                    live.append(extents)
+            assert free_runs(vol) == ref.runs
+            assert vol.free_blocks == ref.free_blocks
+            most_runs = max(most_runs, len(ref.runs))
+        assert merged_calls > 10
+        assert most_runs > 3  # the free list fragmented, not just one run
+
+    def test_double_free_rejected(self):
+        vol = make_volume(blocks=100)
+        extents = vol.allocate(10)
+        vol.free(extents)
+        with pytest.raises(SimulationError, match="overlap free space"):
+            vol.free(extents)
+        assert vol.free_blocks == 100
+        assert vol.used_blocks == 0
+        assert free_runs(vol) == [Extent(0, 100)]
+
+    @pytest.mark.parametrize(
+        "extent",
+        [
+            Extent(10, 10),  # exactly a free run
+            Extent(12, 3),  # inside a free run
+            Extent(15, 10),  # overlaps the left neighbour's end
+            Extent(5, 10),  # overlaps the right neighbour's start
+            Extent(55, 10),  # overlaps the tail run
+            Extent(0, 100),  # covers everything
+        ],
+    )
+    def test_overlapping_free_rejected(self, extent):
+        vol = make_volume(blocks=100)
+        vol.allocate(60)
+        vol.free([Extent(10, 10)])
+        before = free_runs(vol)
+        assert before == [Extent(10, 10), Extent(60, 40)]
+        with pytest.raises(SimulationError, match="overlap free space"):
+            vol.free([extent])
+        assert free_runs(vol) == before
+        assert vol.free_blocks == 50
+
+    def test_overlap_inside_one_call_rejected(self):
+        vol = make_volume(blocks=100)
+        vol.allocate(100)
+        with pytest.raises(SimulationError, match="overlap free space"):
+            vol.free([Extent(30, 5), Extent(32, 5)])
+
+    @pytest.mark.parametrize(
+        "extent",
+        [Extent(95, 10), Extent(100, 1), Extent(-5, 10), Extent(40, 0), Extent(40, -2)],
+    )
+    def test_run_outside_the_volume_rejected(self, extent):
+        vol = make_volume(blocks=100)
+        vol.allocate(100)
+        with pytest.raises(SimulationError, match=r"outside \[0, 100\)"):
+            vol.free([extent])
+        assert free_runs(vol) == []
+        assert vol.free_blocks == 0

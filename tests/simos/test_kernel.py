@@ -273,6 +273,17 @@ class TestDebugInterface:
         assert seen == [2.0]
 
 
+class TestMachineParameters:
+    @pytest.mark.parametrize("kwargs", [{"bus_bandwidth": math.nan}, {"cpu_quantum": math.nan}])
+    def test_nan_rejected_at_construction(self, kwargs):
+        with pytest.raises(SimulationError, match="must be positive"):
+            Kernel(**kwargs)
+
+    def test_no_bus_and_unlimited_bus_accepted(self):
+        assert Kernel(bus_bandwidth=None).bus is None
+        assert Kernel(bus_bandwidth=math.inf).bus.bandwidth == math.inf
+
+
 class TestListeners:
     def test_lifecycle_events_emitted(self):
         kernel = Kernel()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -140,6 +141,52 @@ class TestJudge:
         ]
 
 
+#: The tail of a perfbench run's standard output.
+PERFBENCH_STDOUT = """\
+perfbench workload=fig5_idle seed=1 seconds=15 trace=0
+metric error_rate = 0 (0 of 150 trials failed)
+digest first4 = fb2c6bd6
+digest all150 = a1d0335e
+{"correct": true, "attempted": 150, "failed": 0, "metrics": {}}
+"""
+
+
+def with_digest(run: dict, digest: str | None) -> dict:
+    run[paired_gate.DIGEST] = digest
+    return run
+
+
+class TestDigestParity:
+    def test_first_digest_is_parsed_from_perfbench_output(self):
+        assert paired_gate.first_digest(PERFBENCH_STDOUT) == "fb2c6bd6"
+        assert paired_gate.first_digest("digest all3 = 0123\n{}") is None
+
+    def test_run_once_attaches_the_digest(self, tmp_path, monkeypatch):
+        def fake_subprocess_run(command, cwd, capture_output, text):
+            assert "--trace" in command and cwd == tmp_path
+            return subprocess.CompletedProcess(command, 0, PERFBENCH_STDOUT, "")
+
+        monkeypatch.setattr(paired_gate.subprocess, "run", fake_subprocess_run)
+        run = paired_gate.run_once(MANIFEST, tmp_path, "fig5_idle", tmp_path / "log.txt")
+        assert run["correct"] is True
+        assert run[paired_gate.DIGEST] == "fb2c6bd6"
+        assert (tmp_path / "log.txt").read_text() == PERFBENCH_STDOUT
+
+    def test_report_line_counts_matching_pairs_and_never_fails(self):
+        pairs = [
+            (with_digest(result(rate), "aa"), with_digest(result(rate), "aa"))
+            for rate in PARENT_RATES
+        ]
+        lines, found = paired_gate.judge(MANIFEST, pairs)
+        assert lines[-1] == "digest first4     same in 10 of 10 pairs (identical)"
+        assert found == []
+        pairs[2][1][paired_gate.DIGEST] = "bb"
+        pairs[5][1][paired_gate.DIGEST] = None
+        lines, found = paired_gate.judge(MANIFEST, pairs)
+        assert lines[-1] == "digest first4     same in 8 of 10 pairs (differs)"
+        assert found == []
+
+
 class TestMain:
     def test_exit_zero_on_identical_and_one_on_regression(
         self, tmp_path, monkeypatch, capsys
@@ -158,6 +205,7 @@ class TestMain:
         out = capsys.readouterr().out
         for workload in MANIFEST["workloads"]:
             assert f"pass {workload['name']}" in out
+        assert out.count("digest first4     same in 0 of 12 pairs") == len(MANIFEST["workloads"])
 
         assert paired_gate.main(["parent", "change"]) == 1
         assert "FAIL trials_per_s: worse in" in capsys.readouterr().out
