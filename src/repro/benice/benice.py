@@ -25,7 +25,7 @@ from repro.benice.polling import AdaptivePoller
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.controller import ThreadRegulator
 from repro.core.signtest import Judgment
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 from repro.simos.cpu import CpuPriority
 from repro.simos.effects import Delay, Effect, UseCPU
 from repro.simos.kernel import Kernel, SimThread

@@ -29,6 +29,10 @@ __all__ = [
 #: windows keep the per-term path, so the row cache cannot grow with ``n``.
 _ROW_LIMIT = 256
 
+#: ``math.lgamma(k + 1)`` (log k!) for k = 0.._ROW_LIMIT, which
+#: :func:`_pmf_row` reads instead of calling ``lgamma`` twice per term.
+_LOG_FACTORIAL = [math.lgamma(k + 1) for k in range(_ROW_LIMIT + 1)]
+
 
 @lru_cache(maxsize=65536)
 def log_binomial_pmf(n: int, r: int, p: float = 0.5) -> float:
@@ -64,15 +68,16 @@ def binomial_pmf(n: int, r: int, p: float = 0.5) -> float:
 
 @lru_cache(maxsize=2 * (_ROW_LIMIT + 1))
 def _pmf_row(n: int, p: float) -> tuple[float, ...]:
-    """``binomial_pmf(n, k, p)`` for k = 0..n, bit for bit."""
+    """``binomial_pmf(n, k, p)`` for k = 0..n <= ``_ROW_LIMIT``, bit for bit."""
     if not 0.0 < p < 1.0:
         return tuple(binomial_pmf(n, k, p) for k in range(n + 1))
-    lgamma, top = math.lgamma, math.lgamma(n + 1)
+    lg, exp = _LOG_FACTORIAL, math.exp
+    top = lg[n]
     log_p, log_q = math.log(p), math.log1p(-p)
-    # log_binomial_pmf's expression, in its order of evaluation.
+    # log_binomial_pmf's expression, in its order of evaluation, with
+    # lg[k] == math.lgamma(k + 1).
     return tuple(
-        math.exp(top - lgamma(k + 1) - lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
-        for k in range(n + 1)
+        exp(top - lg[k] - lg[n - k] + k * log_p + (n - k) * log_q) for k in range(n + 1)
     )
 
 

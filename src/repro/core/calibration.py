@@ -31,7 +31,7 @@ from repro.core.averaging import ExponentialAverager
 from repro.core.config import MannersConfig
 from repro.core.errors import MetricError
 from repro.core.regression import RidgeCalibrator
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

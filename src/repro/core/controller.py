@@ -52,7 +52,7 @@ from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.errors import MetricError, RegulationStateError
 from repro.core.signtest import Judgment
 from repro.core.suspension import SuspensionTimer
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.errors import PersistenceError
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

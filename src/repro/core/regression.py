@@ -40,7 +40,7 @@ import sys
 from typing import Sequence
 
 from repro.core.errors import ConfigError, MetricError
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 __all__ = ["RidgeCalibrator"]
 

@@ -26,8 +26,8 @@ import math
 from typing import TYPE_CHECKING, Hashable
 
 from repro.core.scheduling import MultiplexArbiter
-from repro.obs import events as obs_events
-from repro.obs.telemetry import scope_label
+from repro.obs import lazy as obs_events
+from repro.obs.lazy import scope_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

@@ -41,8 +41,8 @@ from repro.core.controller import TestpointDecision, ThreadRegulator
 from repro.core.errors import MetricError, RegulationStateError
 from repro.core.scheduling import MultiplexArbiter
 from repro.core.superintendent import Superintendent
-from repro.obs import events as obs_events
-from repro.obs.telemetry import scope_label
+from repro.obs import lazy as obs_events
+from repro.obs.lazy import scope_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

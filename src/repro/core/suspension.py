@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ConfigError
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

@@ -28,10 +28,6 @@ from typing import TYPE_CHECKING
 from repro.apps.base import RegulationMode
 from repro.apps.database import DatabaseServer, LoadWorkload
 from repro.apps.defragmenter import Defragmenter
-from repro.apps.dummyload import CpuHog, DiskHog
-from repro.apps.groveler import Groveler
-from repro.apps.installer import Installer, InstallWorkload
-from repro.benice.benice import BeNice
 from repro.core.config import MannersConfig
 from repro.simos.cpu import CpuPriority
 from repro.simos.disk import CDROM_PARAMS
@@ -40,7 +36,10 @@ from repro.simos.kernel import Kernel
 from repro.simos.perfcounters import PerfCounterRegistry
 from repro.simos.sim_manners import SimManners
 from repro.simos.trace import DutyTrace
-from repro.simos.workload import Burst, bursty_schedule, busy_fraction
+
+# The Groveler, the installer, the dummy loads, BeNice and the load
+# schedules are imported by the trials that run them, so the Fig 3/5
+# trials (defragmenter and database only) do not load them.
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Sequence
@@ -171,7 +170,7 @@ def defrag_database_trial(
 
     manners: SimManners | None = None
     defrag: Defragmenter | None = None
-    benice: BeNice | None = None
+    benice = None
     if mode is not RegulationMode.NOT_RUNNING:
         cpu_priority = (
             CpuPriority.LOW if mode is RegulationMode.CPU_PRIORITY else CpuPriority.NORMAL
@@ -187,6 +186,8 @@ def defrag_database_trial(
         )
         threads = defrag.spawn()
         if mode is RegulationMode.BENICE:
+            from repro.benice.benice import BeNice
+
             benice = BeNice(
                 kernel,
                 registry,
@@ -251,6 +252,9 @@ def groveler_setup_trial(
     fixed workload, per section 9.1); 30 seconds later the installer begins
     a full installation from the CD onto the same disk.
     """
+    from repro.apps.groveler import Groveler
+    from repro.apps.installer import Installer, InstallWorkload
+
     kernel = _build_kernel(seed, with_cd=True)
     registry = PerfCounterRegistry()
     volume = Volume("ris", "C", total_blocks=700_000)
@@ -428,6 +432,10 @@ def thread_isolation_trial(
     a *separate* process with its own superintendent (defeating machine-wide
     time-multiplex isolation) for the ablation.
     """
+    from repro.apps.dummyload import CpuHog, DiskHog
+    from repro.apps.groveler import Groveler
+    from repro.simos.workload import Burst
+
     kernel = _build_kernel(seed)
     rng = random.Random(seed)
     # C: fuller volume (less free space) => higher priority thread.
@@ -557,6 +565,9 @@ def calibration_trial(
     duration between testpoints is sampled per hour, reproducing the
     paper's calibrating-target trajectory.
     """
+    from repro.apps.dummyload import DiskHog
+    from repro.simos.workload import Burst, bursty_schedule, busy_fraction
+
     total = hours * 3600.0
     kernel = _build_kernel(seed)
     rng = random.Random(seed * 104729 + 17)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Any
 
 from repro.obs.events import Event
 from repro.obs.flightrec import FlightRecorder
@@ -41,22 +40,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import EventSink, FanoutSink, NullSink
 from repro.obs.trace2 import TraceContext, Tracer
 
-__all__ = ["Telemetry", "scope_label"]
+__all__ = ["Telemetry"]
 
 #: Emit failures tolerated before the sink is disabled for the run.
 _SINK_FAILURE_LIMIT = 3
-
-
-def scope_label(entity: Any) -> str:
-    """A human-readable label for a thread/process identity.
-
-    Simulated threads expose ``.name``; realtime thread ids and process
-    keys fall back to ``str``.
-    """
-    name = getattr(entity, "name", None)
-    if isinstance(name, str) and name:
-        return name
-    return str(entity)
 
 
 class Telemetry:

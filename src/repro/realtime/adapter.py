@@ -39,7 +39,7 @@ from repro.core.errors import PersistenceError, RegulationStateError
 from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

@@ -43,7 +43,7 @@ from repro.benice.polling import AdaptivePoller
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.controller import ThreadRegulator
 from repro.core.errors import MetricError, RegulationStateError
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry

@@ -199,6 +199,12 @@ class Engine:
             f"cannot schedule event at {when} before current time {self.now}"
         )
 
+    def _reject_delay(self, delay: float, when: float) -> None:
+        """Cold path: raise the precise error for a bad relative delay."""
+        if delay < 0:
+            raise SimulationError(f"delay must be non-negative, got {delay}")
+        self._reject_time(when)
+
     def post_at(self, when: float, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``when``; no handle.
 
@@ -212,12 +218,14 @@ class Engine:
         self._seq += 1
 
     def post_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` after ``delay`` seconds; no handle."""
+        """Schedule ``fn(*args)`` after ``delay`` seconds; no handle.
+
+        The check reads ``delay`` itself: a negative delay too small to
+        move ``now + delay`` off ``now`` is rejected like any other.
+        """
         when = self.now + delay
-        if not (self.now <= when < _INF):
-            if delay < 0:
-                raise SimulationError(f"delay must be non-negative, got {delay}")
-            self._reject_time(when)
+        if not (0.0 <= delay and when < _INF):
+            self._reject_delay(delay, when)
         heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
 
@@ -234,10 +242,8 @@ class Engine:
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` seconds; cancellable."""
         when = self.now + delay
-        if not (self.now <= when < _INF):
-            if delay < 0:
-                raise SimulationError(f"delay must be non-negative, got {delay}")
-            self._reject_time(when)
+        if not (0.0 <= delay and when < _INF):
+            self._reject_delay(delay, when)
         handle = tuple.__new__(EventHandle, (when, self._seq, fn, args))
         handle._engine = self
         self._seq += 1

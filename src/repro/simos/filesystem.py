@@ -205,10 +205,11 @@ class Volume:
 
         All or nothing: when a later piece finds no run to fit in, the
         pieces already carved go back to the free list before the error
-        propagates.
+        propagates.  ``blocks`` must be an int (not a float or bool) of at
+        least 1, checked before anything changes.
         """
-        if blocks <= 0:
-            raise SimulationError(f"allocation must be positive, got {blocks}")
+        if not (blocks.__class__ is int and 0 < blocks):
+            raise SimulationError(f"allocation must be a positive int, got {blocks!r}")
         if blocks > self._free_total:
             raise SimulationError(
                 f"volume {self.name} full: need {blocks}, have {self._free_total}"
@@ -359,7 +360,14 @@ class Volume:
         fragments: int = 1,
         spread_seed: int | None = None,
     ) -> SimFile:
-        """Create a file of ``size`` bytes; logs a journal record."""
+        """Create a file of ``size`` bytes; logs a journal record.
+
+        ``size`` must be an int (not a float or bool) of at least 0, checked
+        before anything changes: a float size would plan reads the disk
+        rejects, and a negative one would own blocks it never reads.
+        """
+        if not (size.__class__ is int and 0 <= size):
+            raise SimulationError(f"file size must be a non-negative int, got {size!r}")
         if path in self._by_path:
             raise SimulationError(f"file {path!r} already exists on {self.name}")
         blocks = max(1, -(-size // self.block_size))

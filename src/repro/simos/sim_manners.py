@@ -30,8 +30,8 @@ from repro.core.errors import PersistenceError, RegulationStateError
 from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
-from repro.obs import events as obs_events
-from repro.obs.telemetry import scope_label
+from repro.obs import lazy as obs_events
+from repro.obs.lazy import scope_label
 from repro.simos.effects import Effect
 from repro.simos.engine import EventHandle
 from repro.simos.kernel import Kernel, SimThread

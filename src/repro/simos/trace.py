@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.signtest import Judgment
-from repro.obs import events as obs_events
+from repro.obs import lazy as obs_events
 from repro.simos.kernel import Kernel, SimThread
 
 __all__ = ["DutyTrace", "TestpointRecord", "TestpointTrace"]

@@ -86,20 +86,30 @@ def _term_sum(n, lo, hi, p):
     return total
 
 
+def _left_sum(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 class TestPmfRows:
     """Tails over cached pmf rows equal the term-by-term sums bit for bit."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
     def test_rows_and_tails_bit_identical(self, p):
-        for n in range(0, 60):
-            assert binomial._pmf_row(n, p) == tuple(
-                binomial_pmf(n, k, p) for k in range(n + 1)
-            )
+        # Every window the rows serve: the rows read lgamma from a list
+        # built once, the reference evaluates each term on its own.
+        for n in range(0, binomial._ROW_LIMIT + 1):
+            terms = [binomial_pmf(n, k, p) for k in range(n + 1)]
+            assert binomial._pmf_row(n, p) == tuple(terms)
+            lower = 0.0  # terms[0..r] added from the left
             for r in range(0, n):  # r >= n short-cuts to 1.0
-                assert binomial_cdf(n, r, p) == min(_term_sum(n, 0, r, p), 1.0)
+                lower += terms[r]
+                assert binomial_cdf(n, r, p) == min(lower, 1.0)
             for r in range(1, n + 1):  # r <= 0 short-cuts to 1.0
                 if r > (n + 1) // 2 or p <= 0.5:  # else the complement of cdf
-                    assert binomial_sf(n, r, p) == min(_term_sum(n, r, n, p), 1.0)
+                    assert binomial_sf(n, r, p) == min(_left_sum(terms[r:]), 1.0)
 
     def test_large_windows_bypass_the_row_cache(self):
         n = binomial._ROW_LIMIT + 1000

@@ -10,6 +10,7 @@ from repro.core.config import DEFAULT_CONFIG
 from repro.core.controller import ThreadRegulator
 from repro.core.signtest import Judgment
 from repro.obs import events as obs_events
+from repro.obs import lazy
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
@@ -203,8 +204,9 @@ class TestDisabledPath:
         """telemetry=None must never even *allocate* an event.
 
         Emit sites reference event classes as ``obs_events.ClassName``
-        attributes, so replacing every class in the module with a bomb
-        proves the disabled path never reaches a constructor.
+        attributes of the ``repro.obs.lazy`` accessor, which hands out the
+        classes of ``repro.obs.events``; replacing every class in both with
+        a bomb proves the disabled path never reaches a constructor.
         """
 
         def bomb(*args, **kwargs):
@@ -213,6 +215,9 @@ class TestDisabledPath:
         event_base = obs_events.Event
         for name, cls in list(vars(obs_events).items()):
             if isinstance(cls, type) and issubclass(cls, event_base):
+                # The accessor first: reading it there keeps the real class,
+                # which the undo puts back.
+                monkeypatch.setattr(lazy, name, bomb)
                 monkeypatch.setattr(obs_events, name, bomb)
         decisions = run_episode(None)
         assert any(d.judgment is Judgment.POOR for d in decisions)

@@ -51,6 +51,33 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Engine().call_after(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("method", ["post_after", "call_after"])
+    @pytest.mark.parametrize("delay", [-1e-300, -1e-17, -5e-324, -1e-3, -float("inf")])
+    def test_every_negative_delay_rejected(self, method, delay):
+        # At now = 1.0, 1.0 + delay rounds to 1.0 for the tiny delays, so
+        # only the delay itself shows they point into the past.
+        engine = Engine()
+        engine.now = 1.0
+        with pytest.raises(SimulationError, match="delay must be non-negative"):
+            getattr(engine, method)(delay, lambda: None)
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("method", ["post_after", "call_after"])
+    def test_zero_and_nonfinite_delays(self, method):
+        engine = Engine()
+        engine.now = 1.0
+        schedule = getattr(engine, method)
+        schedule(0.0, lambda: None)
+        schedule(-0.0, lambda: None)
+        for delay in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError, match="must be finite"):
+                schedule(delay, lambda: None)
+        assert engine.pending == 2
+        engine.now = 1e308
+        with pytest.raises(SimulationError, match="must be finite"):
+            schedule(1e308, lambda: None)  # now + delay overflows
+        assert engine.pending == 2
+
     def test_no_infinite_time(self):
         with pytest.raises(SimulationError):
             Engine().call_at(float("inf"), lambda: None)

@@ -69,6 +69,26 @@ class TestAllocation:
         with pytest.raises(SimulationError, match="contiguous"):
             vol.allocate(2, fragments=1)
 
+    @pytest.mark.parametrize("blocks", [2.5, 3.0, True, 0, -1])
+    def test_allocate_takes_only_a_positive_int(self, blocks):
+        vol = make_volume(blocks=100)
+        with pytest.raises(SimulationError, match="positive int"):
+            vol.allocate(blocks)
+        assert vol.free_blocks == 100
+        assert vol.allocate(100) == [Extent(0, 100)]
+
+    @pytest.mark.parametrize("size", [-4096, -1, 4096.5, 4096.0, True])
+    def test_create_file_takes_only_a_non_negative_int_size(self, size):
+        vol = make_volume(blocks=100)
+        with pytest.raises(SimulationError, match="non-negative int"):
+            vol.create_file("a", size, when=0.0)
+        assert vol.free_blocks == 100
+        assert vol.file_count == 0
+        assert vol.journal_since(0) == []
+        # Nothing was taken: the path and the id are still free.
+        f = vol.create_file("a", 0, when=0.0)
+        assert (f.file_id, f.blocks, f.extents) == (1, 1, [Extent(0, 1)])
+
     def test_failed_multi_fragment_allocation_is_undone(self):
         # Free runs of 30 and 60 blocks: the first 45-block piece fits in
         # the 60-block run, the second fits nowhere.

@@ -8,7 +8,8 @@ submodules, so the regulator does not bring in the trial fan-out, the
 daemon's worker does not bring in the regulator, the wall-clock paths
 (the realtime adapter, the live BeNice, the daemon) do not bring in the
 simulator, and the CLI loads a command's machinery only when that
-command runs.
+command runs.  With telemetry off, a regulating process loads no
+``repro.obs`` module but the package and its ``lazy`` accessor.
 """
 
 from __future__ import annotations
@@ -26,28 +27,40 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 ROOT = SRC.parent
 
+#: The telemetry stack, which a process with telemetry off never builds.
+TELEMETRY = (
+    "repro.obs.events", "repro.obs.sinks", "repro.obs.telemetry",
+    "repro.obs.trace2", "repro.obs.metrics", "repro.obs.flightrec",
+    "repro.obs.report",
+)
+
+#: What the regulator and the supervisor above it must not load.
+REGULATOR_UNWANTED = (
+    "multiprocessing", "concurrent.futures", "asyncio", "repro.analysis",
+    "repro.experiments", "repro.simos", "repro.apps", "repro.daemon",
+    "repro.verify", "repro.faults", *TELEMETRY,
+)
+
 #: Modules (and their submodules) each entry point must not load.
 UNWANTED = {
-    "repro.core.controller": (
-        "multiprocessing", "concurrent.futures", "asyncio", "repro.analysis",
-        "repro.experiments", "repro.simos", "repro.apps", "repro.daemon",
-        "repro.verify", "repro.faults", "repro.obs.report",
-    ),
+    "repro.core.controller": REGULATOR_UNWANTED,
+    "repro.core.supervisor": REGULATOR_UNWANTED,
     "repro.experiments.scenarios": (
         "multiprocessing", "concurrent.futures", "asyncio", "repro.analysis",
         "repro.experiments.spec", "repro.experiments.ablations",
         "repro.experiments.related", "repro.daemon", "repro.verify",
-        "repro.faults", "repro.obs.report", "repro.simos.network",
-        "repro.simos.memory", "repro.simos.wheel", "repro.apps.scanner",
-        "repro.apps.backup", "repro.apps.compressor", "repro.apps.archiver",
-        "repro.apps.indexer",
+        "repro.faults", *TELEMETRY, "repro.simos.network",
+        "repro.simos.memory", "repro.simos.wheel", "repro.simos.workload",
+        "repro.apps.scanner", "repro.apps.backup", "repro.apps.compressor",
+        "repro.apps.archiver", "repro.apps.indexer", "repro.apps.groveler",
+        "repro.apps.installer", "repro.apps.dummyload", "repro.benice",
     ),
     "repro.daemon.worker": (
         "repro.core.controller", "repro.simos", "asyncio", "multiprocessing",
     ),
     "repro.daemon.server": ("repro.simos",),
-    "repro.realtime.adapter": ("repro.simos",),
-    "repro.realtime.posix_benice": ("repro.simos", "repro.benice.benice"),
+    "repro.realtime.adapter": ("repro.simos", *TELEMETRY),
+    "repro.realtime.posix_benice": ("repro.simos", "repro.benice.benice", *TELEMETRY),
     "repro.cli": ("multiprocessing", "repro.analysis", "repro.simos", "repro.experiments"),
 }
 
