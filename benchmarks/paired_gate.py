@@ -24,6 +24,10 @@ The change fails the gate when, on any workload:
 Directions and bounds come from the parent's ``BENCHMARK.json``, so the
 change under test cannot loosen them.
 
+Every end-to-end metric's report line also counts the pairs in which the
+change was worse.  Only the headline's count is judged; the others are a
+report, which shows, for example, a rate that moved while the median
+trial time did not.
 For each workload it also reports, without judging, whether every pair's
 parent and change printed the same ``digest first4`` line: equal digests
 mean the same simulation, and a deliberate model change moves them.  Exit codes: 0 pass, 1 fail, 2 when
@@ -143,26 +147,25 @@ def judge(manifest: dict, pairs: list[tuple[dict, dict]]) -> tuple[list[str], li
         p1, parent, p3 = statistics.quantiles([v[0] for v in values], n=4, method="inclusive")
         c1, change, c3 = statistics.quantiles([v[1] for v in values], n=4, method="inclusive")
         worse = worse_by(better, parent, change)
-        line = (
+        losses = sum(worse_by(better, *pair) > 0 for pair in values)
+        lines.append(
             f"{name:<17} parent {parent:.4g} [{p1:.4g}, {p3:.4g}]  "
             f"change {change:.4g} [{c1:.4g}, {c3:.4g}]  "
-            f"worse by {worse:+.2%} (bound {bound:.0%})"
+            f"worse by {worse:+.2%} (bound {bound:.0%}), "
+            f"worse in {losses} of {len(pairs)} pairs"
         )
         if worse > bound:
             failures.append(f"{name}: median worse by {worse:.2%}, beyond its bound {bound:.0%}")
-        if name == HEADLINE:
-            losses = sum(worse_by(better, *pair) > 0 for pair in values)
-            line += f", worse in {losses} of {len(pairs)} pairs"
-            if (
-                losses >= LOSING_SHARE * len(pairs)
-                and worse > 0
-                and abs(change - parent) > p3 - p1
-            ):
-                failures.append(
-                    f"{name}: worse in {losses} of {len(pairs)} pairs, medians "
-                    f"{abs(change - parent):.4g} apart, parent IQR {p3 - p1:.4g}"
-                )
-        lines.append(line)
+        if (
+            name == HEADLINE
+            and losses >= LOSING_SHARE * len(pairs)
+            and worse > 0
+            and abs(change - parent) > p3 - p1
+        ):
+            failures.append(
+                f"{name}: worse in {losses} of {len(pairs)} pairs, medians "
+                f"{abs(change - parent):.4g} apart, parent IQR {p3 - p1:.4g}"
+            )
     lines.append(digest_line(pairs))
     return lines, failures
 

@@ -110,8 +110,19 @@ class MedianScale:
         return self._scale
 
     def import_state(self, value: float) -> None:
-        """Restore a persisted factor (clamped into bounds)."""
-        self._scale = min(max(float(value), self._lo), self._hi)
+        """Restore a persisted factor (clamped into bounds).
+
+        Raises :class:`MetricError`, leaving the factor unchanged, for a
+        value that is not a finite number: a NaN factor would make every
+        target duration NaN.
+        """
+        try:
+            factor = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MetricError(f"persisted median scale is not a number: {value!r}") from exc
+        if not math.isfinite(factor):
+            raise MetricError(f"persisted median scale must be finite: {factor}")
+        self._scale = min(max(factor, self._lo), self._hi)
 
 
 @runtime_checkable
@@ -268,17 +279,20 @@ class SingleMetricCalibrator:
         rate = float(rate)
         if not math.isfinite(rate) or rate < 0.0:
             raise MetricError(f"persisted rate must be finite and non-negative: {rate}")
+        samples = None
         if "samples" in state:
             samples = int(state["samples"])
             if samples < 1:
                 raise MetricError(
                     f"persisted sample count must be >= 1 with a rate, got {samples}"
                 )
-            self._avg.import_state({"value": rate, "count": samples})
-        else:
-            self._avg.seed(rate)
         if "median_scale" in state:
+            # Last of the checks: it raises before changing anything.
             self._median.import_state(state["median_scale"])
+        if samples is None:
+            self._avg.seed(rate)
+        else:
+            self._avg.import_state({"value": rate, "count": samples})
 
 
 def make_calibrator(

@@ -327,7 +327,15 @@ class ThreadRegulator:
         start time all survive the round trip.  Legacy snapshots (a bare
         ``sets`` mapping) keep the original restart semantics: persisted
         targets carry full weight and bootstrap is skipped (section 7.1).
+
+        Raises :class:`MetricError` for a non-finite ``start_time`` before
+        changing anything: NaN would skip probation and ``inf`` never end it.
         """
+        start_time = state.get("start_time")
+        if start_time is not None:
+            start_time = float(start_time)
+            if not math.isfinite(start_time):
+                raise MetricError(f"persisted start time is not finite: {start_time}")
         sets = state.get("sets", {})
         for key, entry in sets.items():
             index = int(key)
@@ -347,8 +355,8 @@ class ThreadRegulator:
             self._processed_testpoints = max(
                 self._processed_testpoints, self._config.bootstrap_testpoints
             )
-        if state.get("start_time") is not None:
-            self._start_time = float(state["start_time"])
+        if start_time is not None:
+            self._start_time = start_time
         runtime = state.get("runtime")
         if runtime is not None:
             interval_start = runtime.get("interval_start")

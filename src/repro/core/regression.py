@@ -59,14 +59,15 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return total
 
 
-def _solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """Solve ``a z = b`` by Gaussian elimination with partial pivoting.
+def _solve(m: list[list[float]]) -> list[float] | None:
+    """Solve the augmented system ``m = [a | b]`` for ``a z = b``, in place.
 
-    An exactly singular ``a`` — reachable only with ``nu == 0`` — falls
-    back to the minimum-norm least-squares solution.
+    Gaussian elimination with partial pivoting overwrites ``m`` (its rows
+    and their order).  Returns ``None`` at a zero pivot: ``a`` is exactly
+    singular, which is reachable only with ``nu == 0``, and the caller
+    falls back to :func:`_min_norm_solve` on a fresh copy of the system.
     """
-    n = len(b)
-    m = [row + [bi] for row, bi in zip(a, b)]  # augmented [a | b]
+    n = len(m)
     for k in range(n):
         p = k
         largest = abs(m[k][k])
@@ -80,8 +81,9 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
         pivot_row = m[k]
         pivot = pivot_row[k]
         if pivot == 0.0:
-            return _min_norm_solve(a, b)
-        for row in m[k + 1:]:
+            return None
+        for i in range(k + 1, n):
+            row = m[i]
             f = row[k] / pivot
             for j in range(k + 1, n + 1):
                 row[j] -= f * pivot_row[j]
@@ -273,22 +275,22 @@ class RidgeCalibrator:
             raise MetricError("persisted regression statistics have a negative diagonal")
         if any(x[i][j] != x[j][i] for i in range(n) for j in range(i)):
             raise MetricError("persisted regression statistics are not symmetric")
+        if "median_scale" in state:
+            # Last of the checks: it raises before changing anything.
+            self._median.import_state(state["median_scale"])
         self._x = x
         self._y = y
         self._sum_dp = sum_dp
         self._sum_d = sum_d
         self._count = count
         self._coefficients = None
-        if "median_scale" in state:
-            self._median.import_state(state["median_scale"])
 
     # -- operation --------------------------------------------------------------------
     def update(self, duration: float, deltas: Sequence[float]) -> None:
         """Fold one testpoint sample into the decayed sufficient statistics."""
-        if len(deltas) != self._arity:
-            raise MetricError(
-                f"expected {self._arity} metrics, got {len(deltas)}"
-            )
+        n = self._arity
+        if len(deltas) != n:
+            raise MetricError(f"expected {n} metrics, got {len(deltas)}")
         if not math.isfinite(duration) or duration < 0.0:
             raise MetricError(f"duration must be finite and non-negative: {duration}")
         dp = list(map(float, deltas))
@@ -297,15 +299,24 @@ class RidgeCalibrator:
                 raise MetricError(
                     f"progress deltas must be finite and non-negative: {deltas}"
                 )
-        self._median.observe(duration, _dot(self.coefficients(), dp))
+        c = self._coefficients
+        if c is None:
+            c = self._coefficients = self._fit()
+        predicted = 0.0
+        for ci, di in zip(c, dp):
+            predicted += ci * di
+        self._median.observe(duration, predicted)
         # In place: export_state copies and import_state builds fresh lists,
         # so no caller holds these lists.
         theta = self._theta
+        x = self._x
         y = self._y
         sum_dp = self._sum_dp
-        for i, (row, di) in enumerate(zip(self._x, dp)):
-            for j, dj in enumerate(dp):
-                row[j] = row[j] * theta + di * dj
+        for i in range(n):
+            row = x[i]
+            di = dp[i]
+            for j in range(n):
+                row[j] = row[j] * theta + di * dp[j]
             y[i] = y[i] * theta + duration * di
             sum_dp[i] = sum_dp[i] * theta + di
         self._sum_d = theta * self._sum_d + duration
@@ -352,44 +363,59 @@ class RidgeCalibrator:
         # a metric whose magnitude is orders of magnitude below another's
         # (indices counted in ones vs bytes counted in thousands) would be
         # annihilated by the offset rather than merely stabilized.
-        scale = []
+        scale = [1.0] * n
         moved = False
-        for i, row in enumerate(x):
-            d = row[i]
+        for i in range(n):
+            d = x[i][i]
             if d > 0.0:
-                scale.append(math.sqrt(d))
+                scale[i] = math.sqrt(d)
                 moved = True
-            else:
-                scale.append(1.0)
         if not moved:
             # No progress observed along any metric yet.
             return (0.0,) * n
-        nu = self._nu
-        a = []
-        for i, (row, si) in enumerate(zip(x, scale)):
-            a_row = [xij / (si * sj) for xij, sj in zip(row, scale)]
-            a_row[i] += nu  # unit diagonal => Q = 1.
-            a.append(a_row)
-        b = [yi / si for yi, si in zip(self._y, scale)]
+        z = _solve(self._system(scale))
+        if z is None:
+            # Exactly singular: the solver consumed the system, so rebuild it.
+            m = self._system(scale)
+            z = _min_norm_solve([row[:n] for row in m], [row[n] for row in m])
         # A metric can transiently receive a small negative cost when it is
         # strongly anti-correlated with another; a negative time-per-unit is
         # physically meaningless, so clamp.  The same pass sums the clamped
         # costs' predicted aggregate duration, left to right.
-        c = []
+        sum_dp = self._sum_dp
         predicted = 0.0
-        for zi, si, pi in zip(_solve(a, b), scale, self._sum_dp):
-            ci = zi / si
+        for i in range(n):
+            ci = z[i] / scale[i]
             if not ci > 0.0:
                 ci = 0.0
-            c.append(ci)
-            predicted += ci * pi
+            z[i] = ci
+            predicted += ci * sum_dp[i]
         # Pin the scale: predicted aggregate duration must equal the observed
         # aggregate duration (see the constructor comment).
         sum_d = self._sum_d
         if predicted > 0.0 and sum_d > 0.0:
             k = sum_d / predicted
-            return tuple([ci * k for ci in c])
-        return tuple(c)
+            for i in range(n):
+                z[i] *= k
+        return tuple(z)
+
+    def _system(self, scale: list[float]) -> list[list[float]]:
+        """The standardized ridge system ``[a | b]``, one augmented row per metric."""
+        n = self._arity
+        nu = self._nu
+        x = self._x
+        y = self._y
+        m = []
+        for i in range(n):
+            row = x[i]
+            si = scale[i]
+            m_row = [0.0] * (n + 1)
+            for j in range(n):
+                m_row[j] = row[j] / (si * scale[j])
+            m_row[i] += nu  # unit diagonal => Q = 1.
+            m_row[n] = y[i] / si
+            m.append(m_row)
+        return m
 
     def rates(self) -> tuple[float, ...]:
         """Per-metric target rates ``r_k`` (progress units per second).
@@ -412,4 +438,7 @@ class RidgeCalibrator:
         c = self._coefficients
         if c is None:
             c = self._coefficients = self._fit()
-        return _dot(c, deltas) * self._median.scale
+        total = 0.0
+        for ci, di in zip(c, deltas):
+            total += ci * di
+        return total * self._median.scale

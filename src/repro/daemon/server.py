@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import __version__
 from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
-from repro.core.errors import MetricError, PersistenceError
+from repro.core.errors import MannersError, MetricError, PersistenceError
 from repro.core.persistence import TargetStore
 from repro.core.supervisor import Supervisor
 from repro.daemon.chaos import ChaosState
@@ -79,6 +79,17 @@ __all__ = ["WorkerSpec", "RegulatorDaemon"]
 
 #: How long a connecting peer gets to complete its handshake.
 _HANDSHAKE_TIMEOUT = 10.0
+
+#: What ``ThreadRegulator.import_state`` raises for a persisted snapshot it
+#: rejects (a NaN statistic) or cannot parse (a wrong type, a missing key).
+_UNUSABLE_SNAPSHOT = (
+    MannersError,
+    AttributeError,
+    LookupError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
 
 #: Outbound frame ops the chaos wire hooks may damage (never handshake
 #: or shutdown frames — those faults are modelled as connection loss).
@@ -459,17 +470,27 @@ class RegulatorDaemon:
         session.registered = True
         persisted = self._restore_state_for(app_id)
         if persisted is not None:
-            regulator.import_state(persisted)
-            digest = state_digest(regulator.export_state())
-            if app_id not in self.restored_digests:
-                self.restored_digests[app_id] = digest
-                self._emit_recovery("state_restored", detail=app_id)
-                expected = self._journal_digests.get(app_id)
-                if expected is not None and expected != digest:
-                    self._emit_anomaly(
-                        "restore_mismatch",
-                        detail=f"{app_id}: journal {expected[:12]} != restored {digest[:12]}",
-                    )
+            try:
+                regulator.import_state(persisted)
+            except _UNUSABLE_SNAPSHOT as exc:
+                # As unusable as an unreadable file: forget it, and serve the
+                # worker from a fresh regulator, not a half-imported one.
+                self._emit_anomaly("corrupt_target", detail=f"{app_id}: {exc}")
+                self._emit_recovery("rebootstrap", detail=app_id)
+                self._restored_states.pop(app_id, None)
+                self._supervisor.unregister_thread(name)
+                self._supervisor.register_thread(name, priority=priority)
+            else:
+                digest = state_digest(regulator.export_state())
+                if app_id not in self.restored_digests:
+                    self.restored_digests[app_id] = digest
+                    self._emit_recovery("state_restored", detail=app_id)
+                    expected = self._journal_digests.get(app_id)
+                    if expected is not None and expected != digest:
+                        self._emit_anomaly(
+                            "restore_mismatch",
+                            detail=f"{app_id}: journal {expected[:12]} != restored {digest[:12]}",
+                        )
         writer.write(
             encode_frame(
                 {"op": "welcome", "proto": PROTOCOL_VERSION, "server": __version__}

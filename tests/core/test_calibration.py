@@ -77,6 +77,17 @@ class TestMedianScale:
         ms.import_state(9.0)
         assert ms.scale == 1.5
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "fast", None])
+    def test_import_rejects_a_factor_that_is_not_a_finite_number(self, value):
+        # A NaN factor made every target duration NaN; a string raised a
+        # plain ValueError.
+        ms = MedianScale()
+        ms.observe(1.5, 1.0)
+        before = ms.scale
+        with pytest.raises(MetricError, match="median scale"):
+            ms.import_state(value)
+        assert ms.scale == before
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             MedianScale(eta=0.0)
@@ -124,6 +135,18 @@ class TestSingleMetricCalibrator:
         cal = SingleMetricCalibrator(window=50)
         cal.import_state({})
         assert cal.target_rate is None
+
+    @pytest.mark.parametrize("factor", [float("nan"), "fast"])
+    def test_import_rejects_bad_median_scale_unchanged(self, factor):
+        cal = SingleMetricCalibrator(window=10)
+        for _ in range(5):
+            cal.update(1.0, [100.0])
+        state = cal.export_state()
+        before = cal.export_state()
+        state.update(rate=50.0, samples=2, median_scale=factor)
+        with pytest.raises(MetricError, match="median scale"):
+            cal.import_state(state)
+        assert cal.export_state() == before
 
     def test_import_rejects_bad_rate(self):
         cal = SingleMetricCalibrator(window=50)

@@ -240,6 +240,21 @@ class TestMultipleMetricSets:
 
 
 class TestPersistenceIntegration:
+    @pytest.mark.parametrize("start_time", [float("nan"), float("inf")])
+    def test_import_rejects_non_finite_start_time(self, fast_config, start_time):
+        # Restored, NaN made in_probation always false (probation skipped)
+        # and inf always true.
+        clock = ManualClock()
+        donor = ThreadRegulator(fast_config)
+        drive(donor, clock, rate=100.0, steps=50)
+        state = donor.export_state()
+        state["start_time"] = start_time
+        heir = ThreadRegulator(fast_config)
+        before = heir.export_state()
+        with pytest.raises(MetricError, match="start time"):
+            heir.import_state(state)
+        assert heir.export_state() == before
+
     def test_export_import_skips_bootstrap(self, clock, fast_config):
         donor = ThreadRegulator(fast_config)
         drive(donor, clock, rate=100.0, steps=100)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.errors import ConfigError
+from repro.core.errors import ConfigError, MetricError
 from repro.core.library import Manners
 from repro.core.persistence import TargetStore
 from repro.core.signtest import Judgment
@@ -83,6 +83,20 @@ class TestPersistenceFlow:
         clock_b = ManualClock()
         second = Manners(fast_config, clock=clock_b, app_id="app", store=store)
         assert not second.regulator.in_bootstrap
+
+    def test_nan_median_scale_is_rejected_at_import(self, fast_config, tmp_path):
+        # JSON NaN loads as a float; restored, every target duration was NaN
+        # and the first judged testpoint raised.
+        store = TargetStore(tmp_path)
+        clock = ManualClock()
+        with Manners(fast_config, clock=clock, app_id="app", store=store) as manners:
+            drive_manners(manners, clock, rate=100.0, steps=50)
+        state = dict(store.load("app"))
+        state["sets"]["0"]["calibration"]["median_scale"] = float("nan")
+        store.save("app", state)
+        assert "NaN" in store.path_for("app").read_text()
+        with pytest.raises(MetricError, match="median scale"):
+            Manners(fast_config, clock=ManualClock(), app_id="app", store=store)
 
     def test_periodic_save(self, fast_config, tmp_path):
         store = TargetStore(tmp_path)

@@ -195,6 +195,16 @@ class TestImportRejectsCorruptState:
     def test_nan_sum_d(self):
         self._assert_rejected(lambda s: s.update(sum_d=float("nan")))
 
+    def test_nan_median_scale(self):
+        # Restored as is, it made every target duration NaN.
+        self._assert_rejected(lambda s: s.update(median_scale=float("nan")))
+
+    def test_non_numeric_median_scale_leaves_statistics_unchanged(self):
+        # It raised only after x, y and count had been replaced.
+        self._assert_rejected(
+            lambda s: s.update(x=[[2.0, 1.0], [1.0, 2.0]], count=3, median_scale="1.2x")
+        )
+
     def test_negative_sum_d(self):
         self._assert_rejected(lambda s: s.update(sum_d=-1.0))
 
@@ -353,9 +363,9 @@ class TestSolveMemo:
         calls = {"n": 0}
         real = regression._solve
 
-        def counting(a, b):
+        def counting(m):
             calls["n"] += 1
-            return real(a, b)
+            return real(m)
 
         monkeypatch.setattr(regression, "_solve", counting)
         return calls

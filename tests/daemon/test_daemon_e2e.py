@@ -23,7 +23,7 @@ from repro.daemon.journal import StateJournal, state_digest
 from repro.daemon.protocol import PROTOCOL_VERSION, decode_frame, encode_frame
 from repro.daemon.server import RegulatorDaemon
 from repro.daemon.soak import match_faults, soak_config
-from repro.obs.events import FaultInjected, RecoveryAction
+from repro.obs.events import AnomalyDetected, FaultInjected, RecoveryAction
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
 
@@ -239,6 +239,44 @@ class TestPersistence:
         assert digests["current"]["app"] == digests["restored"]["app"]
         actions = [e.action for e in second.events() if isinstance(e, RecoveryAction)]
         assert "state_restored" in actions
+
+    def test_rejected_snapshot_rebootstraps_on_a_fresh_regulator(self, rundir):
+        # A journaled two-metric set whose ridge statistics hold a NaN:
+        # import_state rejects it after it has already added the set.
+        state_dir = rundir / "state"
+        rejected = {
+            "sets": {
+                "0": {
+                    "arity": 2,
+                    "calibration": {"x": [[float("nan"), 0.0], [0.0, 1.0]], "y": [0.0, 0.0]},
+                }
+            }
+        }
+        with StateJournal(state_dir) as journal:
+            journal.append("app", rejected)
+        daemon = LiveDaemon(
+            rundir, state_dir=str(state_dir), journal_interval=3600.0, save_interval=3600.0
+        )
+        with daemon as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as first:
+                # One metric per testpoint: a half-imported regulator expects two.
+                replies = [first.testpoint([float(done)]) for done in range(1, 4)]
+                # The rejected state was dropped, so a second worker of the
+                # same application starts fresh without a second rejection.
+                with DaemonClient(live.socket_path, "w2", app_id="app") as second:
+                    replies.append(second.testpoint([1.0]))
+                with ControlClient(live.socket_path) as control:
+                    digests = control.request("digest")
+        assert all(r["op"] == "decision" and "error" not in r for r in replies), replies
+        assert "app" not in digests["restored"]
+        events = live.events()
+        anomalies = [e.anomaly for e in events if isinstance(e, AnomalyDetected)]
+        actions = [e.action for e in events if isinstance(e, RecoveryAction)]
+        assert anomalies.count("corrupt_target") == 1
+        assert "metric_error" not in anomalies
+        assert actions.count("rebootstrap") == 1
+        assert "reconnect_rebound" not in actions
+        assert "state_restored" not in actions
 
     def test_journal_tier_outranks_snapshot_on_restore(self, rundir):
         state_dir = rundir / "state"

@@ -4,7 +4,8 @@ The rule is fed synthetic per-pair perfbench results: no subprocess runs
 and nothing is timed.  A change fails when an end-to-end median is worse
 than its BENCHMARK.json bound, when ``trials_per_s`` loses in at least
 nine tenths of the pairs with medians apart by more than the parent's
-IQR, or when it fails more of its trials than the parent.
+IQR, or when it fails more of its trials than the parent.  Every metric's
+report line counts its losing pairs; only the headline's count is judged.
 """
 
 from __future__ import annotations
@@ -95,6 +96,26 @@ class TestJudge:
         ties += [result(rate * 0.95) for rate in PARENT_RATES[5:]]
         # Five ties and five losses: the ties count for neither side.
         assert failures(pairs_with(ties)) == []
+
+    def test_every_metric_reports_its_losing_pairs_without_judging_them(self):
+        # A faster rate beside a median trial that is worse in three pairs,
+        # and a setup time worse in every pair but inside its bound.
+        changes = [
+            result(rate * 1.1, trial_s_p50=1.0 / rate, setup_s=0.22) for rate in PARENT_RATES
+        ]
+        for change in changes[:3]:
+            change["metrics"]["trial_s_p50"]["value"] *= 1.02
+        lines, found = paired_gate.judge(MANIFEST, pairs_with(changes))
+        assert found == []
+        counts = {line.split()[0]: line.rsplit(", ", 1)[1] for line in lines[:-1]}
+        assert counts == {
+            "trials_per_s": "worse in 0 of 10 pairs",
+            "trial_s_p50": "worse in 3 of 10 pairs",
+            "trial_s_p75": "worse in 0 of 10 pairs",
+            "sim_events_per_s": "worse in 0 of 10 pairs",
+            "peak_rss_mb": "worse in 0 of 10 pairs",
+            "setup_s": "worse in 10 of 10 pairs",
+        }
 
     def test_change_run_with_incorrect_output_fails(self):
         changes = [result(rate) for rate in PARENT_RATES]
