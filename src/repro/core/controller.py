@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.core.calibration import Calibrator, make_calibrator
 from repro.core.comparator import RateComparator, StatisticalComparator
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
-from repro.core.errors import MetricError, RegulationStateError
+from repro.core.errors import MannersError, MetricError, RegulationStateError
 from repro.core.signtest import Judgment
 from repro.core.suspension import SuspensionTimer
 from repro.obs import lazy as obs_events
@@ -328,51 +328,104 @@ class ThreadRegulator:
         ``sets`` mapping) keep the original restart semantics: persisted
         targets carry full weight and bootstrap is skipped (section 7.1).
 
-        Raises :class:`MetricError` for a non-finite ``start_time`` before
-        changing anything: NaN would skip probation and ``inf`` never end it.
+        All or nothing: every section is checked before anything changes,
+        so a rejected snapshot leaves the regulator exactly as it was.  A
+        rejection is a :class:`MannersError`.  The components' own checks
+        keep their :class:`MetricError` or :class:`ConfigError` (a NaN
+        statistic, a sign-test window out of bounds); a missing key or a
+        value of the wrong type raises :class:`MetricError`, and so does a
+        non-finite ``start_time`` (NaN would skip probation and ``inf``
+        never end it) or runtime baseline.
         """
-        start_time = state.get("start_time")
-        if start_time is not None:
-            start_time = float(start_time)
-            if not math.isfinite(start_time):
-                raise MetricError(f"persisted start time is not finite: {start_time}")
-        sets = state.get("sets", {})
-        for key, entry in sets.items():
-            index = int(key)
-            arity = int(entry["arity"])
-            set_state = self._ensure_set(index, arity)
-            set_state.calibrator.import_state(entry["calibration"])
+        config = self._config
+        sets = self._sets
+        try:
+            # Each calibration and the suspension section are checked by
+            # importing them into throwaway components built from the same
+            # configuration; the same imports cannot fail on the real ones.
+            arities = {index: set_state.arity for index, set_state in sets.items()}
+            staged = []
+            for key, entry in state.get("sets", {}).items():
+                index = int(key)
+                arity = int(entry["arity"])
+                if arities.setdefault(index, arity) != arity:
+                    raise MetricError(
+                        f"persisted metric set {index} has {arity} metrics, "
+                        f"expected {arities[index]}"
+                    )
+                calibration = entry["calibration"]
+                make_calibrator(arity, config).import_state(calibration)
+                staged.append((index, arity, calibration))
+            if "suspension" in state:
+                SuspensionTimer(
+                    config.initial_suspension, config.max_suspension
+                ).import_state(state["suspension"])
+            processed = self._processed_testpoints
+            if "processed_testpoints" in state:
+                processed = max(processed, int(state["processed_testpoints"]))
+            elif staged:
+                processed = max(processed, config.bootstrap_testpoints)
+            start_time = state.get("start_time")
+            if start_time is not None:
+                start_time = float(start_time)
+                if not math.isfinite(start_time):
+                    raise MetricError(f"persisted start time is not finite: {start_time}")
+            runtime = state.get("runtime")
+            if runtime is not None:
+                interval_start = runtime.get("interval_start")
+                if interval_start is not None:
+                    interval_start = float(interval_start)
+                resume_at = _decode_time(runtime.get("resume_at"))
+                last_arrival = _decode_time(runtime.get("last_arrival"))
+                if not (
+                    (interval_start is None or -_INF < interval_start < _INF)
+                    and -_INF <= resume_at < _INF
+                    and -_INF <= last_arrival < _INF
+                ):
+                    raise MetricError(
+                        "persisted runtime times are not finite: "
+                        f"{interval_start}, {resume_at}, {last_arrival}"
+                    )
+                discard_next = runtime.get("discard_next")
+                if discard_next is not None and discard_next.__class__ is not str:
+                    raise MetricError(f"persisted discard reason is not a string: {discard_next!r}")
+                last_counters = {}
+                for key, counters in runtime.get("last_counters", {}).items():
+                    index = int(key)
+                    if counters is None or index not in arities:
+                        continue
+                    values = tuple(map(float, counters))
+                    if len(values) != arities[index] or not all(
+                        -_INF < value < _INF for value in values
+                    ):
+                        raise MetricError(
+                            f"persisted counters of metric set {index} are malformed: {counters!r}"
+                        )
+                    last_counters[index] = values
+            comparator = self._comparator
+            if "comparator" in state and hasattr(comparator, "import_state"):
+                # Last of the checks and first of the changes: the sign
+                # test's import raises before it changes anything.
+                comparator.import_state(state["comparator"])
+        except MannersError:
+            raise
+        except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
+            raise MetricError(f"persisted regulator state is malformed: {exc!r}") from exc
+        for index, arity, calibration in staged:
+            self._ensure_set(index, arity).calibrator.import_state(calibration)
         if "suspension" in state:
             self._suspension.import_state(state["suspension"])
-        comparator = self._comparator
-        if "comparator" in state and hasattr(comparator, "import_state"):
-            comparator.import_state(state["comparator"])
-        if "processed_testpoints" in state:
-            self._processed_testpoints = max(
-                self._processed_testpoints, int(state["processed_testpoints"])
-            )
-        elif sets:
-            self._processed_testpoints = max(
-                self._processed_testpoints, self._config.bootstrap_testpoints
-            )
+        self._processed_testpoints = processed
         if start_time is not None:
             self._start_time = start_time
-        runtime = state.get("runtime")
         if runtime is not None:
-            interval_start = runtime.get("interval_start")
-            self._interval_start = (
-                None if interval_start is None else float(interval_start)
-            )
-            self._resume_at = _decode_time(runtime.get("resume_at"))
-            self._last_arrival = _decode_time(runtime.get("last_arrival"))
-            self._discard_next = runtime.get("discard_next")
+            self._interval_start = interval_start
+            self._resume_at = resume_at
+            self._last_arrival = last_arrival
+            self._discard_next = discard_next
             self._was_in_probation = bool(runtime.get("was_in_probation", False))
-            for key, counters in runtime.get("last_counters", {}).items():
-                index = int(key)
-                if counters is not None and index in self._sets:
-                    self._sets[index].last_counters = tuple(
-                        float(c) for c in counters
-                    )
+            for index, values in last_counters.items():
+                sets[index].last_counters = values
 
     # -- main entry point -----------------------------------------------------------
     def on_testpoint(

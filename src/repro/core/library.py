@@ -17,8 +17,9 @@ the same components this facade wires together.
 
 The facade also handles target persistence: given an application identity
 and a :class:`~repro.core.persistence.TargetStore`, targets are loaded at
-construction (skipping bootstrap on restart) and saved periodically and at
-:meth:`Manners.close`.
+construction (skipping bootstrap on restart; a snapshot the regulator
+rejects raises there) and saved periodically and at :meth:`Manners.close`.
+A periodic save the store gives up on is skipped, not raised.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Sequence
 from repro.core.clock import Clock, MonotonicClock
 from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
 from repro.core.controller import TestpointDecision, ThreadRegulator
+from repro.core.errors import PersistenceError
 from repro.core.persistence import TargetStore
 
 __all__ = ["Manners"]
@@ -103,12 +105,21 @@ class Manners:
             and decision.processed
             and now - self._last_save >= self._save_interval
         ):
-            self.save_targets()
+            try:
+                self.save_targets()
+            except PersistenceError:
+                # The store already retried: drop this snapshot, try again a
+                # full interval later, and never fail the caller's testpoint.
+                self._last_save = self._clock.now()
         return decision
 
     # -- persistence & lifecycle ----------------------------------------------------
     def save_targets(self) -> None:
-        """Persist the current calibration (no-op without a store)."""
+        """Persist the current calibration (no-op without a store).
+
+        Raises :class:`PersistenceError` when the store gives up; a periodic
+        save from :meth:`testpoint` absorbs it instead.
+        """
         if self._store is not None and self._app_id is not None:
             self._store.save(self._app_id, self._regulator.export_state())
             self._last_save = self._clock.now()

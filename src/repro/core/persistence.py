@@ -28,6 +28,7 @@ version for forward compatibility.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -86,10 +87,14 @@ class TargetStore:
         sleep: Callable[[float], None] = time.sleep,
         telemetry: "Telemetry | None" = None,
     ) -> None:
-        if save_retries < 0:
-            raise PersistenceError(f"save_retries must be >= 0, got {save_retries}")
-        if not save_backoff >= 0.0:  # rejects NaN as well as negatives
-            raise PersistenceError(f"save_backoff must be >= 0, got {save_backoff}")
+        # An exact int, checked here: a float or string would fail only
+        # inside a retry.
+        if save_retries.__class__ is not int or save_retries < 0:
+            raise PersistenceError(f"save_retries must be an int >= 0, got {save_retries!r}")
+        # Rejects NaN and inf as well as negatives: an infinite backoff would
+        # make the retry's sleep raise OverflowError, not PersistenceError.
+        if not 0.0 <= save_backoff < math.inf:
+            raise PersistenceError(f"save_backoff must be finite and >= 0, got {save_backoff}")
         self._dir = Path(directory)
         self._strict = strict
         self._save_retries = save_retries

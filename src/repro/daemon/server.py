@@ -80,27 +80,16 @@ __all__ = ["WorkerSpec", "RegulatorDaemon"]
 #: How long a connecting peer gets to complete its handshake.
 _HANDSHAKE_TIMEOUT = 10.0
 
-#: What ``ThreadRegulator.import_state`` raises for a persisted snapshot it
-#: rejects (a NaN statistic) or cannot parse (a wrong type, a missing key).
-_UNUSABLE_SNAPSHOT = (
-    MannersError,
-    AttributeError,
-    LookupError,
-    OverflowError,
-    TypeError,
-    ValueError,
-)
-
 #: Outbound frame ops the chaos wire hooks may damage (never handshake
 #: or shutdown frames — those faults are modelled as connection loss).
 _CHAOS_SENDABLE = ("decision", "wait", "pong")
 
 
 def _frame_int(frame: Mapping[str, Any], name: str, default: int | None = None) -> int:
-    """A testpoint frame's integer field; a float or bool is a protocol error."""
+    """A frame's integer field; a float, bool or string is a protocol error."""
     value = frame.get(name, default)
     if value.__class__ is not int:
-        raise ProtocolError(f"testpoint {name} must be an integer, got {value!r}")
+        raise ProtocolError(f"{frame.get('op')} {name} must be an integer, got {value!r}")
     return value
 
 
@@ -450,13 +439,14 @@ class RegulatorDaemon:
     ) -> None:
         try:
             require_fields(hello, "name")
+            priority = _frame_int(hello, "priority", 0)
         except ProtocolError as exc:
+            self.counters["protocol_errors"] += 1
             self._emit_anomaly("protocol_error", detail=str(exc))
             writer.close()
             return
         name = str(hello["name"])
         app_id = str(hello.get("app_id") or name)
-        priority = int(hello.get("priority", 0))
         # A reconnecting worker (its answer to a damaged connection)
         # displaces its old session rather than being refused.
         old = self._sessions.get(name)
@@ -472,14 +462,12 @@ class RegulatorDaemon:
         if persisted is not None:
             try:
                 regulator.import_state(persisted)
-            except _UNUSABLE_SNAPSHOT as exc:
-                # As unusable as an unreadable file: forget it, and serve the
-                # worker from a fresh regulator, not a half-imported one.
+            except MannersError as exc:
+                # As unusable as an unreadable file: forget it.  The import
+                # changed nothing, so the worker runs on a fresh regulator.
                 self._emit_anomaly("corrupt_target", detail=f"{app_id}: {exc}")
                 self._emit_recovery("rebootstrap", detail=app_id)
                 self._restored_states.pop(app_id, None)
-                self._supervisor.unregister_thread(name)
-                self._supervisor.register_thread(name, priority=priority)
             else:
                 digest = state_digest(regulator.export_state())
                 if app_id not in self.restored_digests:

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import DEFAULT_CONFIG, MannersConfig, check_interval
 from repro.core.controller import TestpointDecision
-from repro.core.errors import PersistenceError, RegulationStateError
+from repro.core.errors import MannersError, PersistenceError, RegulationStateError
 from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
@@ -84,8 +84,9 @@ class RealTimeRegulator:
         #: Signals whose handlers :meth:`install_signal_handlers` replaced,
         #: mapped to the handlers they displaced (for chaining/uninstall).
         self._previous_handlers: dict[int, object] = {}
-        #: Persistence failures absorbed (load fell back to bootstrap,
-        #: save skipped); regulation is never interrupted by storage.
+        #: Persistence failures absorbed (an unreadable or rejected
+        #: snapshot fell back to bootstrap, a save was skipped); regulation
+        #: is never interrupted by storage.
         self.persistence_errors = 0
 
     # -- registration ---------------------------------------------------------------
@@ -279,13 +280,13 @@ class RealTimeRegulator:
         if self._store is not None and self._app_id is not None:
             try:
                 persisted = self._store.load(self._app_id)
-            except PersistenceError as exc:
-                # Degraded mode: an unreadable target file costs a fresh
-                # bootstrap, never a crashed worker thread.
+                if persisted is not None:
+                    regulator.import_state(persisted)
+            except MannersError as exc:
+                # Degraded mode: an unreadable target file, or a snapshot
+                # import_state rejects (which changes nothing), costs a
+                # fresh bootstrap, never a crashed worker thread.
                 self._note_persistence_error("rebootstrap", exc)
-                return
-            if persisted is not None:
-                regulator.import_state(persisted)
 
     def _maybe_save_locked(self) -> None:
         if self._store is None:
@@ -311,7 +312,7 @@ class RealTimeRegulator:
             # at the next save interval rather than unwinding a testpoint.
             self._note_persistence_error("save_skipped", exc)
 
-    def _note_persistence_error(self, action: str, exc: PersistenceError) -> None:
+    def _note_persistence_error(self, action: str, exc: MannersError) -> None:
         self.persistence_errors += 1
         tel = self._telemetry
         if tel is not None:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.core.config import DEFAULT_CONFIG, MannersConfig
 from repro.core.controller import TestpointDecision, ThreadRegulator
-from repro.core.errors import PersistenceError, RegulationStateError
+from repro.core.errors import MannersError, RegulationStateError
 from repro.core.persistence import TargetStore
 from repro.core.superintendent import Superintendent
 from repro.core.supervisor import Supervisor
@@ -161,29 +161,31 @@ class SimManners:
 
         The thread's kernel ``process`` attribute determines which
         supervisor (and thus which superintendent slot) it belongs to.
-        With ``store``/``app_id``, persisted targets are loaded now and the
-        regulator starts past bootstrap.  An unreadable target file is not
-        fatal: the regulator falls back to a fresh bootstrap (reported as a
-        ``recovery`` event), matching the degraded-mode contract of
-        ``docs/robustness.md``.
+        With ``store``/``app_id`` (given together or not at all), persisted
+        targets are loaded now and the regulator starts past bootstrap.  An
+        unreadable target file, or a snapshot ``import_state`` rejects
+        (which changes nothing), is not fatal: the regulator falls back to
+        a fresh bootstrap (reported as a ``recovery`` event), matching the
+        degraded-mode contract of ``docs/robustness.md``.
         """
+        if (app_id is None) != (store is None):
+            raise ValueError("app_id and store must be provided together")
         if thread in self._registration:
             raise RegulationStateError(f"thread {thread!r} already regulated")
         sup = self.supervisor(thread.process)
         regulator = sup.register_thread(
             thread, priority=priority, config=config, comparator=comparator
         )
-        if store is not None and app_id is not None:
+        if store is not None:
             quarantined_before = len(store.quarantined)
             try:
                 persisted = store.load(app_id)
-            except PersistenceError as exc:
-                persisted = None
+                if persisted is not None:
+                    regulator.import_state(persisted)
+                elif len(store.quarantined) > quarantined_before:
+                    self._note_load_failure(thread, app_id, "target file quarantined")
+            except MannersError as exc:
                 self._note_load_failure(thread, app_id, str(exc))
-            if persisted is not None:
-                regulator.import_state(persisted)
-            elif len(store.quarantined) > quarantined_before:
-                self._note_load_failure(thread, app_id, "target file quarantined")
         self._registration[thread] = sup
         self.traces[thread] = TestpointTrace()
         return regulator

@@ -13,7 +13,8 @@ contracts on every transition:
 * calibrator target finiteness (a non-finite or negative target would
   condemn or excuse a thread forever);
 * state export/import round-trip fidelity (a snapshot imported into a
-  fresh regulator must re-export identically).
+  fresh regulator must re-export identically), and that a rejected
+  snapshot changes nothing.
 
 Violations are recorded as structured :class:`InvariantViolation` entries
 and, when a telemetry handle is supplied, emitted through the existing obs
@@ -360,8 +361,11 @@ def check_regulator_roundtrip(
 
     Compares canonical JSON of the two runtime snapshots, which covers
     calibrator values *and* warm-up counts, suspension saturation, the open
-    sign-test window, and the bootstrap/probation phase markers.  Returns
-    whether the round trip was faithful.  Only regulators using the stock
+    sign-test window, and the bootstrap/probation phase markers.  Then
+    imports a corrupted copy into the clone: one that would add a metric
+    set and raise the processed count, but whose runtime baseline is NaN.
+    It must raise :class:`MannersError` and leave the clone unchanged.
+    Returns whether both held.  Only regulators using the stock
     :class:`~repro.core.comparator.StatisticalComparator` (or a monitored
     wrapper of one) can be cloned; others are skipped without judgment.
     """
@@ -376,6 +380,34 @@ def check_regulator_roundtrip(
             "regulator",
             "roundtrip_fidelity",
             f"re-exported snapshot differs: {before[:200]} != {after[:200]}",
+            t=t,
+        )
+        return False
+    recorder.passed()
+    corrupted = json.loads(after)
+    corrupted["sets"][str(max(map(int, corrupted["sets"]), default=-1) + 1)] = {
+        "arity": 1,
+        "calibration": {"rate": 1.0, "samples": 1},
+    }
+    corrupted["processed_testpoints"] += 1
+    corrupted["runtime"]["last_arrival"] = math.nan
+    try:
+        clone.import_state(corrupted)
+    except MannersError:
+        rejected = json.dumps(clone.export_state(include_runtime=True), sort_keys=True)
+        if rejected != after:
+            recorder.report(
+                "regulator",
+                "rejected_snapshot",
+                f"clone changed by a rejected snapshot: {after[:200]} -> {rejected[:200]}",
+                t=t,
+            )
+            return False
+    else:
+        recorder.report(
+            "regulator",
+            "rejected_snapshot",
+            "a snapshot with a NaN runtime baseline was accepted",
             t=t,
         )
         return False

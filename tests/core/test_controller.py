@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import math
+
 import pytest
 
 from repro.core.clock import ManualClock
 from repro.core.config import MannersConfig
 from repro.core.controller import ThreadRegulator
-from repro.core.errors import MetricError
+from repro.core.errors import MannersError, MetricError
 from repro.core.signtest import Judgment
 
 
@@ -275,3 +279,115 @@ class TestPersistenceIntegration:
         # Degraded progress should be condemned quickly on the heir.
         decisions, _ = drive(heir, clock_b, rate=20.0, steps=30)
         assert any(d.judgment is Judgment.POOR for d in decisions)
+
+
+def two_set_snapshot(config: MannersConfig) -> dict:
+    """A runtime snapshot of a regulator with a one- and a two-metric set."""
+    clock = ManualClock()
+    donor = ThreadRegulator(config)
+    single, pair = 0.0, (0.0, 0.0)
+    for step in range(80):
+        clock.advance(0.1)
+        if step % 2:
+            # The one-metric set slows down late, so the donor backs off.
+            single += 10.0 if step < 60 else 2.0
+            decision = donor.on_testpoint(clock.now(), 0, [single])
+        else:
+            pair = (pair[0] + 5.0, pair[1] + 3.0 + step % 3)
+            decision = donor.on_testpoint(clock.now(), 1, pair)
+        clock.advance(decision.delay)
+    return donor.export_state(include_runtime=True)
+
+
+_DROP = object()
+_NAN = float("nan")
+
+
+def _put(*path_and_value):
+    """A corruption that sets (or, with ``_DROP``, deletes) one entry."""
+    *path, value = path_and_value
+
+    def corrupt(state):
+        target = state
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return state
+
+    return corrupt
+
+
+#: One corruption per section of the snapshot, each enough to reject it.
+CORRUPTIONS = {
+    "snapshot-not-a-mapping": lambda state: [state],
+    "sets-wrong-type": _put("sets", [0, 1]),
+    "set-index-wrong-type": lambda state: {
+        **state, "sets": {"0": state["sets"]["0"], "one": state["sets"]["1"]}
+    },
+    "set-arity-missing": _put("sets", "1", "arity", _DROP),
+    "set-arity-wrong-type": _put("sets", "1", "arity", "two"),
+    # A valid two-metric set where the regulator already has a one-metric set 0.
+    "set-arity-conflicts": lambda state: _put("sets", "0", state["sets"]["1"])(state),
+    "set-calibration-missing": _put("sets", "1", "calibration", _DROP),
+    "set-calibration-wrong-type": _put("sets", "1", "calibration", "fast"),
+    "single-rate-nan": _put("sets", "0", "calibration", "rate", _NAN),
+    "single-median-scale-nan": _put("sets", "0", "calibration", "median_scale", _NAN),
+    "ridge-statistic-nan": _put("sets", "1", "calibration", "x", 0, 0, _NAN),
+    "ridge-y-missing": _put("sets", "1", "calibration", "y", _DROP),
+    "suspension-wrong-type": _put("suspension", "fast"),
+    "suspension-current-nan": _put("suspension", "current", _NAN),
+    "suspension-count-wrong-type": _put("suspension", "consecutive_poor", "abc"),
+    "comparator-wrong-type": _put("comparator", [0, 1]),
+    "comparator-samples-wrong-type": _put("comparator", "samples", "abc"),
+    "comparator-below-exceeds-samples": _put("comparator", {"samples": 2, "below": 3}),
+    "processed-testpoints-wrong-type": _put("processed_testpoints", "abc"),
+    "processed-testpoints-nan": _put("processed_testpoints", _NAN),
+    "start-time-wrong-type": _put("start_time", "noon"),
+    "start-time-nan": _put("start_time", _NAN),
+    "runtime-wrong-type": _put("runtime", "abc"),
+    "runtime-interval-start-nan": _put("runtime", "interval_start", _NAN),
+    "runtime-resume-at-inf": _put("runtime", "resume_at", math.inf),
+    "runtime-last-arrival-wrong-type": _put("runtime", "last_arrival", "now"),
+    "runtime-discard-reason-wrong-type": _put("runtime", "discard_next", 7),
+    "runtime-counters-wrong-type": _put("runtime", "last_counters", [1.0]),
+    "runtime-counters-nan": _put("runtime", "last_counters", "1", [1.0, _NAN]),
+    "runtime-counters-wrong-arity": _put("runtime", "last_counters", "1", [1.0]),
+    "runtime-counters-not-numbers": _put("runtime", "last_counters", "0", ["abc"]),
+}
+
+
+class TestRejectedSnapshotChangesNothing:
+    """``import_state`` checks every section before it changes anything."""
+
+    @staticmethod
+    def _heir(config: MannersConfig) -> ThreadRegulator:
+        # Already running: a partial import would add set 1, replace set
+        # 0's calibration, or raise the processed count past its own.
+        heir = ThreadRegulator(config)
+        drive(heir, ManualClock(), rate=40.0, steps=12)
+        return heir
+
+    def test_the_uncorrupted_snapshot_imports_and_round_trips(self, fast_config):
+        snapshot = two_set_snapshot(fast_config)
+        heir = self._heir(fast_config)
+        heir.import_state(copy.deepcopy(snapshot))
+        assert heir.metric_set_indices() == (0, 1)
+        clone = ThreadRegulator(fast_config)
+        clone.import_state(snapshot)
+        assert json.dumps(clone.export_state(include_runtime=True), sort_keys=True) == (
+            json.dumps(snapshot, sort_keys=True)
+        )
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+    def test_corrupted_section_raises_and_changes_nothing(self, fast_config, corrupt):
+        corrupted = corrupt(two_set_snapshot(fast_config))
+        heir = self._heir(fast_config)
+        before = heir.export_state(include_runtime=True)
+        indices = heir.metric_set_indices()
+        with pytest.raises(MannersError):
+            heir.import_state(corrupted)
+        assert heir.export_state(include_runtime=True) == before
+        assert heir.metric_set_indices() == indices

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.clock import ManualClock
-from repro.core.errors import ConfigError, MetricError
+from repro.core.errors import ConfigError, MetricError, PersistenceError
 from repro.core.library import Manners
 from repro.core.persistence import TargetStore
 from repro.core.signtest import Judgment
+from repro.faults.stores import FlakyTargetStore
 
 
 def drive_manners(
@@ -106,6 +107,30 @@ class TestPersistenceFlow:
         )
         drive_manners(manners, clock, rate=100.0, steps=100)  # 10+ seconds
         assert store.load("app") is not None  # saved without close()
+
+    def test_failed_periodic_save_is_skipped_for_a_full_interval(self, fast_config, tmp_path):
+        # The store's exhausted retries raised PersistenceError out of the
+        # application's testpoint.
+        store = FlakyTargetStore(tmp_path, save_retries=0, sleep=lambda s: None)
+        clock = ManualClock()
+        manners = Manners(
+            fast_config, clock=clock, app_id="app", store=store, save_interval=5.0
+        )
+        store.fail_next(1)
+        attempted_at = []
+        for step in range(1, 25):  # a testpoint every 0.5 s for 12 s
+            clock.advance(0.5)
+            attempts = store.write_attempts
+            manners.testpoint([50.0 * step])
+            if store.write_attempts > attempts:
+                attempted_at.append(clock.now())
+        assert attempted_at == [5.0, 10.0]
+        assert store.save_failures == 1
+        assert store.load("app") is not None
+        # An explicit save still reports the failure.
+        store.fail_next(1)
+        with pytest.raises(PersistenceError):
+            manners.save_targets()
 
     @pytest.mark.parametrize("interval", [0.0, -5.0, float("nan"), float("inf")])
     def test_save_interval_must_be_finite_and_positive(self, fast_config, tmp_path, interval):

@@ -39,6 +39,21 @@ class TestRoundTrip:
         assert store.load("app") == {"x": 1}
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("backoff", [float("inf"), float("nan"), -0.1])
+    def test_save_backoff_must_be_finite_and_non_negative(self, tmp_path, backoff):
+        # inf made a retried save raise OverflowError from time.sleep, past
+        # every caller's handler for PersistenceError.
+        with pytest.raises(PersistenceError, match="save_backoff"):
+            TargetStore(tmp_path, save_backoff=backoff)
+
+    @pytest.mark.parametrize("retries", [1.5, "2", True, -1])
+    def test_save_retries_must_be_an_int_at_least_zero(self, tmp_path, retries):
+        # 1.5 and "2" raised TypeError, and only at the first failed save.
+        with pytest.raises(PersistenceError, match="save_retries"):
+            TargetStore(tmp_path, save_retries=retries)
+
+
 class TestFileFormat:
     def test_version_embedded(self, tmp_path):
         store = TargetStore(tmp_path)

@@ -136,6 +136,29 @@ class TestRoundTrip:
         bad = [e for e in live.events() if getattr(e, "anomaly", None) == "bad_frame"]
         assert len(bad) == len(bad_frames)
 
+    def test_mistyped_hello_priority_is_a_protocol_error(self, rundir):
+        # "high" and [1] raised out of the connection callback with no
+        # reply and no count; 1.5 and True were welcomed as priority 1.
+        priorities = ["high", [1], 1.5, True]
+        with LiveDaemon(rundir) as live:
+            for priority in priorities:
+                with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                    raw.settimeout(5.0)
+                    raw.connect(live.socket_path)
+                    hello = {"op": "hello", "proto": PROTOCOL_VERSION, "role": "worker",
+                             "name": "w1", "priority": priority}
+                    raw.sendall(encode_frame(hello))
+                    # Closed without a welcome.
+                    assert raw.makefile("rb").readline() == b""
+            counters = _counters_when(live, lambda c: c["protocol_errors"] >= len(priorities))
+            with ControlClient(live.socket_path) as control:
+                workers = control.request("status")["workers"]
+        assert counters["protocol_errors"] == len(priorities)
+        assert "w1" not in workers
+        errors = [e for e in live.events() if getattr(e, "anomaly", None) == "protocol_error"]
+        assert len(errors) == len(priorities)
+        assert all("priority" in e.detail for e in errors)
+
     def test_vanished_worker_releases_its_slot(self, rundir):
         with LiveDaemon(rundir) as live:
             client = DaemonClient(live.socket_path, "w1")

@@ -6,10 +6,15 @@ import pytest
 
 from repro.core.config import MannersConfig
 from repro.core.errors import RegulationStateError
+from repro.core.persistence import TargetStore
 from repro.core.signtest import Judgment
+from repro.obs.events import RecoveryAction
+from repro.obs.sinks import MemorySink
+from repro.obs.telemetry import Telemetry
 from repro.simos.effects import Delay, DiskRead
 from repro.simos.kernel import Kernel
 from repro.simos.sim_manners import MannersTestpoint, SetThreadPriority, SimManners
+from tests.test_realtime import REJECTED_SNAPSHOTS
 
 
 @pytest.fixture
@@ -246,8 +251,6 @@ class TestHungThreadIntegration:
 class TestPersistenceIntegration:
     def test_targets_persist_across_simulated_restarts(self, sim_config, tmp_path):
         """A regulated app's targets survive a 'reboot' of the machine."""
-        from repro.core.persistence import TargetStore
-
         store = TargetStore(tmp_path)
 
         def run_once():
@@ -271,6 +274,37 @@ class TestPersistenceIntegration:
         regulator = manners.regulate(thread, store=store, app_id="app")
         assert not regulator.in_bootstrap
         kernel.run()
+
+    @pytest.mark.parametrize("snapshot", REJECTED_SNAPSHOTS.values(), ids=REJECTED_SNAPSHOTS.keys())
+    def test_rejected_snapshot_rebootstraps(self, sim_config, tmp_path, snapshot):
+        store = TargetStore(tmp_path)
+        store.save("app", snapshot)
+        kernel = Kernel(seed=8)
+        kernel.add_disk("C")
+        sink = MemorySink()
+        manners = SimManners(kernel, sim_config, telemetry=Telemetry(sink=sink))
+        thread = kernel.spawn("t", disk_worker(kernel, 50), process="app")
+        regulator = manners.regulate(thread, store=store, app_id="app")
+        assert regulator.metric_set_indices() == ()
+        assert regulator.in_bootstrap
+        # One metric per testpoint: a half-imported two-metric set 0 refused them.
+        kernel.run()
+        assert thread.error is None
+        assert regulator.stats.processed > 0
+        actions = [e.action for e in sink.events if isinstance(e, RecoveryAction)]
+        assert actions.count("rebootstrap") == 1
+
+    @pytest.mark.parametrize("given", ["store", "app_id"])
+    def test_store_and_app_id_go_together(self, sim_config, tmp_path, given):
+        # A store without an app_id restored nothing, silently.
+        kernel = Kernel()
+        kernel.add_disk("C")
+        manners = SimManners(kernel, sim_config)
+        thread = kernel.spawn("t", disk_worker(kernel, 10))
+        kwargs = {"store": TargetStore(tmp_path)} if given == "store" else {"app_id": "app"}
+        with pytest.raises(ValueError, match="together"):
+            manners.regulate(thread, **kwargs)
+        manners.regulate(thread)  # the rejected call enrolled nothing
 
 
 class TestThreeProcessSharing:

@@ -11,8 +11,26 @@ import pytest
 from repro.core.config import MannersConfig
 from repro.core.errors import ConfigError, RegulationStateError
 from repro.core.persistence import TargetStore
+from repro.obs.events import RecoveryAction
+from repro.obs.sinks import MemorySink
+from repro.obs.telemetry import Telemetry
 from repro.realtime import adapter
 from repro.realtime.adapter import RealTimeRegulator
+
+#: Persisted states ``ThreadRegulator.import_state`` rejects: a ridge
+#: statistic that is NaN (JSON loads it as a float), and a set with no
+#: calibration.
+REJECTED_SNAPSHOTS = {
+    "ridge-statistic-nan": {
+        "sets": {
+            "0": {
+                "arity": 2,
+                "calibration": {"x": [[float("nan"), 0.0], [0.0, 1.0]], "y": [0.0, 0.0]},
+            }
+        }
+    },
+    "set-without-calibration": {"sets": {"0": {"arity": 2}}},
+}
 
 FAST_RT = MannersConfig(
     bootstrap_testpoints=5,
@@ -131,6 +149,28 @@ class TestPersistence:
         tid = threading.get_ident()
         assert not second.supervisor.regulator(tid).in_bootstrap
         second.close()
+
+    @pytest.mark.parametrize("snapshot", REJECTED_SNAPSHOTS.values(), ids=REJECTED_SNAPSHOTS.keys())
+    def test_rejected_snapshot_rebootstraps(self, tmp_path, snapshot):
+        store = TargetStore(tmp_path)
+        store.save("rt-app", snapshot)
+        sink = MemorySink()
+        regulator = RealTimeRegulator(
+            FAST_RT, app_id="rt-app", store=store, telemetry=Telemetry(sink=sink)
+        )
+        # One metric per testpoint: a half-imported two-metric set 0 refused them.
+        decisions = [regulator.testpoint([float(done)]) for done in range(4)]
+        assert decisions[0].processed and decisions[0].bootstrap
+        tid = threading.get_ident()
+        fresh = regulator.supervisor.regulator(tid)
+        assert fresh.metric_set_indices() == (0,)
+        assert fresh.in_bootstrap
+        regulator.close()
+        actions = [e.action for e in sink.events if isinstance(e, RecoveryAction)]
+        assert actions.count("rebootstrap") == 1
+        assert regulator.persistence_errors == 1
+        # close() saved the fresh regulator, not the rejected snapshot.
+        assert store.load("rt-app")["sets"]["0"]["arity"] == 1
 
     def test_app_id_requires_store(self):
         with pytest.raises(ValueError):

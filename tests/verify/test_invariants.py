@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import DEFAULT_CONFIG
 from repro.core.controller import ThreadRegulator
+from repro.core.errors import MetricError
 from repro.core.suspension import SuspensionTimer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import MemorySink
@@ -205,6 +206,31 @@ def test_roundtrip_check_faithful_mid_stream():
     recorder = ViolationRecorder(mode="record")
     assert check_regulator_roundtrip(regulator, recorder, t=now)
     assert recorder.ok
+
+
+@pytest.mark.parametrize("sabotage", ["accepts", "changes_then_raises"])
+def test_roundtrip_check_flags_a_rejected_snapshot_that_is_not_clean(monkeypatch, sabotage):
+    config = DEFAULT_CONFIG.with_overrides(
+        bootstrap_testpoints=4, min_testpoint_interval=0.0
+    )
+    regulator = ThreadRegulator(config=config, start_time=0.0)
+    now = _run_regulated_stream(regulator, steps=25)
+    real_import = ThreadRegulator.import_state
+    calls = []
+
+    def sabotaged_import(self, state):
+        calls.append(state)
+        if len(calls) == 1:  # the faithful clone
+            return real_import(self, state)
+        if sabotage == "changes_then_raises":
+            self._processed_testpoints += 1
+            raise MetricError("sabotaged")
+        return None  # the NaN runtime baseline goes unnoticed
+
+    monkeypatch.setattr(ThreadRegulator, "import_state", sabotaged_import)
+    recorder = ViolationRecorder(mode="record")
+    assert not check_regulator_roundtrip(regulator, recorder, t=now)
+    assert [v.invariant for v in recorder.violations] == ["rejected_snapshot"]
 
 
 def test_drive_functions_report_checks():
