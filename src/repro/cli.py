@@ -427,7 +427,6 @@ def _cmd_daemon(args: argparse.Namespace, out: Output) -> int:
             workers=workers,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            journal_interval=args.journal_interval,
             save_interval=args.save_interval,
         )
         out.say(
@@ -863,7 +862,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--socket", required=True, help="Unix socket path to serve on")
     serve.add_argument(
         "--state-dir", dest="state_dir", default=None,
-        help="directory for target snapshots + the write-ahead journal",
+        help="directory for the per-application target files",
     )
     serve.add_argument(
         "--workers", default="",
@@ -896,14 +895,9 @@ def main(argv: list[str] | None = None) -> int:
         help="silence after which a non-parked worker is evicted (default 5.0)",
     )
     serve.add_argument(
-        "--journal-interval", dest="journal_interval", default=1.0,
-        type=_checked(check_scale, "journal_interval"),
-        help="seconds between write-ahead journal appends (default 1.0)",
-    )
-    serve.add_argument(
-        "--save-interval", dest="save_interval", default=30.0,
+        "--save-interval", dest="save_interval", default=1.0,
         type=_checked(check_scale, "save_interval"),
-        help="seconds between atomic snapshots + journal compaction (default 30)",
+        help="seconds between saves of the targets that changed (default 1.0)",
     )
     serve.add_argument(
         "--trace-out", dest="trace_out", default=None,

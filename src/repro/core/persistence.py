@@ -125,6 +125,14 @@ class TargetStore:
         path = self.path_for(app_id)
         return path.with_name(path.name + QUARANTINE_SUFFIX)
 
+    def quarantine(self, app_id: str, reason: str) -> None:
+        """Set ``app_id``'s file aside as corrupt, as a lenient load does.
+
+        For a caller that read the file fine but could not use what it
+        held, so that the next load finds no file instead of the same one.
+        """
+        self._quarantine(self.path_for(app_id), reason)
+
     # -- operations ----------------------------------------------------------------
     def load(
         self, app_id: str, strict: bool | None = None
@@ -177,7 +185,8 @@ class TargetStore:
 
         Transient :class:`OSError` failures are retried up to
         ``save_retries`` times with exponential backoff; only a fully
-        exhausted attempt sequence raises :class:`PersistenceError`.
+        exhausted attempt sequence, or a backoff too long for ``sleep``
+        to take, raises :class:`PersistenceError`.
         """
         path = self.path_for(app_id)
         document = {"version": FORMAT_VERSION, "app_id": app_id, "state": state}
@@ -191,7 +200,15 @@ class TargetStore:
                 self.save_failures += 1
                 self._note_save_failure(exc, attempt)
                 if attempt < self._save_retries:
-                    self._sleep(self._save_backoff * (2.0**attempt))
+                    try:
+                        self._sleep(self._save_backoff * (2.0**attempt))
+                    except OverflowError as overflow:
+                        # A finite backoff can still be too long for the
+                        # platform's sleep; the save has failed all the same.
+                        raise PersistenceError(
+                            f"cannot save targets to {path}: retry backoff "
+                            f"out of range ({overflow}) after {last_error}"
+                        ) from last_error
         raise PersistenceError(
             f"cannot save targets to {path} after "
             f"{self._save_retries + 1} attempts: {last_error}"

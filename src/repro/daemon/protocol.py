@@ -36,8 +36,8 @@ op             direction  meaning
 ``bye``        w → d      clean release before worker exit
 ``shutdown``   d → w      daemon is draining; finish up and exit
 ``status``     c → d      control: operating counters snapshot
-``digest``     c → d      control: restored/current calibration digests
-``save``       c → d      control: force a snapshot + journal compaction
+``digest``     c → d      control: restored/saved/current calibration digests
+``save``       c → d      control: save every changed calibration now
 ``inject``     c → d      control: arm one chaos fault (soak harness)
 ``stop``       c → d      control: request a graceful drain
 ``ok``/``error``  d → c   control reply envelope

@@ -1,8 +1,8 @@
 """The supervised regulator daemon: an asyncio IPC superintendent.
 
 :class:`RegulatorDaemon` promotes the in-process realtime adapter to a
-long-running service (ROADMAP item 5, the paper's §4.5 superintendent as
-something you can actually deploy): real OS worker subprocesses connect
+long-running service (the paper's §4.5 superintendent as something you
+can actually deploy): real OS worker subprocesses connect
 over a local Unix socket, report progress through the JSON-line protocol
 of :mod:`repro.daemon.protocol`, and are time-multiplexed and suspended
 by the same pure :class:`~repro.core.supervisor.Supervisor` that drives
@@ -25,14 +25,16 @@ recovery the telemetry trace can prove happened:
   cache (``resend_served`` / ``retransmit_absorbed``), duplicated
   replies are discarded client-side and acknowledged server-side
   (``duplicate_discarded``);
-* **crash-safe calibration** — targets journal through
-  :class:`~repro.daemon.journal.StateJournal` (fsynced write-ahead
-  records) between atomic :class:`~repro.core.persistence.TargetStore`
-  snapshots, so a ``kill -9`` loses at most one journal interval and a
-  restart restores state bit-identically (``state_restored``, digests
-  exposed over the control protocol);
-* **graceful drain** — SIGTERM/SIGINT snapshot every regulator, compact
-  the journal, notify workers (``shutdown`` frames), and only then exit
+* **crash-safe calibration** — every ``save_interval``, when a worker
+  departs and at drain, each application state whose digest changed
+  since its last save is written atomically through
+  :class:`~repro.core.persistence.TargetStore` (§7.1's target file,
+  "written periodically and at termination"), so a ``kill -9`` loses at
+  most one save interval and a restart restores state bit-identically
+  (``state_restored``, digests exposed over the control protocol); a
+  stored state the regulator rejects is quarantined, read only once;
+* **graceful drain** — SIGTERM/SIGINT save every changed regulator
+  state, notify workers (``shutdown`` frames), and only then exit
   (``drain_flush``);
 * **observability isolation** — telemetry flows through
   :class:`~repro.obs.telemetry.Telemetry`'s failure-absorbing emit path
@@ -49,6 +51,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
+import json
 import os
 import signal
 import sys
@@ -61,7 +65,6 @@ from repro.core.errors import MannersError, MetricError, PersistenceError
 from repro.core.persistence import TargetStore
 from repro.core.supervisor import Supervisor
 from repro.daemon.chaos import ChaosState
-from repro.daemon.journal import StateJournal, state_digest
 from repro.daemon.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -73,9 +76,10 @@ from repro.faults.plan import FaultPlan
 from repro.obs import events as obs_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.controller import ThreadRegulator
     from repro.obs.telemetry import Telemetry
 
-__all__ = ["WorkerSpec", "RegulatorDaemon"]
+__all__ = ["WorkerSpec", "RegulatorDaemon", "state_digest"]
 
 #: How long a connecting peer gets to complete its handshake.
 _HANDSHAKE_TIMEOUT = 10.0
@@ -83,6 +87,17 @@ _HANDSHAKE_TIMEOUT = 10.0
 #: Outbound frame ops the chaos wire hooks may damage (never handshake
 #: or shutdown frames — those faults are modelled as connection loss).
 _CHAOS_SENDABLE = ("decision", "wait", "pong")
+
+
+def state_digest(state: Mapping[str, Any]) -> str:
+    """SHA-256 hex digest of a regulator state's canonical serialization.
+
+    Two states with equal digests serialize bit-identically; this is the
+    equality the daemon's restore guarantee is stated in, and what its
+    saves skip unchanged states by.
+    """
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _frame_int(frame: Mapping[str, Any], name: str, default: int | None = None) -> int:
@@ -184,29 +199,23 @@ class RegulatorDaemon:
         chaos_plan: FaultPlan | None = None,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 5.0,
-        save_interval: float = 30.0,
-        journal_interval: float = 1.0,
-        fsync_journal: bool = True,
+        save_interval: float = 1.0,
         restart_backoff: float = 0.25,
         restart_backoff_cap: float = 5.0,
     ) -> None:
         self.heartbeat_interval = check_interval("heartbeat_interval", heartbeat_interval)
         self.heartbeat_timeout = check_interval("heartbeat_timeout", heartbeat_timeout)
         self.save_interval = check_interval("save_interval", save_interval)
-        self.journal_interval = check_interval("journal_interval", journal_interval)
         self.socket_path = socket_path
         self._config = config
         self._telemetry = telemetry
         self._supervisor = Supervisor(
             config, process_id="daemon", telemetry=telemetry
         )
+        # No retries: the store would sleep on the event loop between them,
+        # stalling every worker's decisions; the next sweep is the retry.
         self._store = (
-            TargetStore(state_dir, strict=False, telemetry=telemetry)
-            if state_dir is not None
-            else None
-        )
-        self._journal = (
-            StateJournal(state_dir, fsync=fsync_journal)
+            TargetStore(state_dir, strict=False, save_retries=0, telemetry=telemetry)
             if state_dir is not None
             else None
         )
@@ -218,8 +227,9 @@ class RegulatorDaemon:
 
         self._sessions: dict[str, _Session] = {}
         self._worker_procs: dict[str, asyncio.subprocess.Process] = {}
-        self._journal_digests: dict[str, str] = {}
-        self._restored_states: dict[str, Mapping[str, Any]] = {}
+        #: Digest of each application's state as last loaded or saved, the
+        #: state its target file holds.
+        self._saved_digests: dict[str, str] = {}
         #: Digest of each application's state as restored at registration
         #: (the bit-identical-restore claim, queryable over control IPC).
         self.restored_digests: dict[str, str] = {}
@@ -229,7 +239,6 @@ class RegulatorDaemon:
             "suspensions": 0,
             "evictions": 0,
             "worker_restarts": 0,
-            "journal_appends": 0,
             "snapshots": 0,
             "faults_injected": 0,
             "recoveries": 0,
@@ -262,7 +271,6 @@ class RegulatorDaemon:
         arms SIGTERM/SIGINT drain handlers (main-thread only).
         """
         self._started_at = self._now()
-        self._restore_journal()
         # A kill -9 leaves the previous incarnation's socket file behind;
         # binding must not fail because the daemon died ungracefully.
         with contextlib.suppress(OSError):
@@ -282,10 +290,9 @@ class RegulatorDaemon:
             asyncio.create_task(self._every(self.heartbeat_interval, self._liveness_sweep)),
         ]
         if self._store is not None:
-            self._tasks += [
-                asyncio.create_task(self._every(self.journal_interval, self._journal_sweep)),
-                asyncio.create_task(self._every(self.save_interval, self._persist_all)),
-            ]
+            self._tasks.append(
+                asyncio.create_task(self._every(self.save_interval, self._save_changed))
+            )
         if self._chaos_plan is not None and len(self._chaos_plan):
             self._tasks.append(asyncio.create_task(self._chaos_loop()))
         for spec in self._worker_specs:
@@ -324,9 +331,8 @@ class RegulatorDaemon:
             with contextlib.suppress(Exception):
                 session.writer.write(encode_frame({"op": "shutdown"}))
                 await session.writer.drain()
-        # Flush calibration: snapshot every known state, then drop the
-        # journal (its records are now covered by the atomic snapshots).
-        self._persist_all(final=True)
+        # Flush calibration: save every state changed since its last save.
+        self._save_changed()
         self._emit_recovery("drain_flush", detail=self._drain_reason or "")
         for task in self._tasks:
             task.cancel()
@@ -351,45 +357,48 @@ class RegulatorDaemon:
         for session in list(self._sessions.values()):
             with contextlib.suppress(Exception):
                 session.writer.close()
-        if self._journal is not None:
-            self._journal.close()
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
         tel = self._telemetry
         if tel is not None:
             tel.flush()
 
-    # -- startup restore -------------------------------------------------------
-    def _restore_journal(self) -> None:
-        """Replay the write-ahead journal into the restore cache."""
-        if self._journal is None:
-            return
-        latest = self._journal.latest_states()
-        if self._journal.truncated_tail:
-            self._emit_anomaly(
-                "journal_torn", detail=str(self._journal.path)
-            )
-            self._emit_recovery("journal_truncated", detail=str(self._journal.path))
-        for app_id, record in latest.items():
-            self._restored_states[app_id] = record.state
-            self._journal_digests[app_id] = record.digest
-
-    def _restore_state_for(self, app_id: str) -> Mapping[str, Any] | None:
-        """The persisted state for one application: journal over snapshot."""
-        state = self._restored_states.get(app_id)
-        if state is not None:
-            return state
+    # -- restore -----------------------------------------------------------------
+    def _restore_into(self, regulator: "ThreadRegulator", app_id: str) -> None:
+        """Import ``app_id``'s stored state into a newly registered regulator."""
         if self._store is None:
-            return None
+            return
+        self._tick_telemetry()
         try:
-            state = self._store.load(app_id)
+            persisted = self._store.load(app_id)
         except PersistenceError as exc:
             self._emit_anomaly("corrupt_target", detail=str(exc))
             self._emit_recovery("rebootstrap", detail=app_id)
-            return None
-        if state is not None:
-            self._restored_states[app_id] = state
-        return state
+            return
+        if persisted is None:
+            return
+        try:
+            regulator.import_state(persisted)
+        except MannersError as exc:
+            # As unusable as an unreadable file: set it aside, so the next
+            # session of this application does not read it again.  The
+            # import changed nothing, so the worker runs on a fresh regulator.
+            self._store.quarantine(app_id, f"{app_id}: {exc}")
+            self._saved_digests.pop(app_id, None)
+            self._emit_recovery("rebootstrap", detail=app_id)
+            return
+        expected = state_digest(persisted)
+        self._saved_digests[app_id] = expected
+        if app_id in self.restored_digests:
+            return
+        digest = state_digest(regulator.export_state())
+        self.restored_digests[app_id] = digest
+        self._emit_recovery("state_restored", detail=app_id)
+        if expected != digest:
+            self._emit_anomaly(
+                "restore_mismatch",
+                detail=f"{app_id}: saved {expected[:12]} != restored {digest[:12]}",
+            )
 
     # -- connection handling ---------------------------------------------------
     async def _on_connection(
@@ -458,27 +467,7 @@ class RegulatorDaemon:
         self._sessions[name] = session
         regulator = self._supervisor.register_thread(name, priority=priority)
         session.registered = True
-        persisted = self._restore_state_for(app_id)
-        if persisted is not None:
-            try:
-                regulator.import_state(persisted)
-            except MannersError as exc:
-                # As unusable as an unreadable file: forget it.  The import
-                # changed nothing, so the worker runs on a fresh regulator.
-                self._emit_anomaly("corrupt_target", detail=f"{app_id}: {exc}")
-                self._emit_recovery("rebootstrap", detail=app_id)
-                self._restored_states.pop(app_id, None)
-            else:
-                digest = state_digest(regulator.export_state())
-                if app_id not in self.restored_digests:
-                    self.restored_digests[app_id] = digest
-                    self._emit_recovery("state_restored", detail=app_id)
-                    expected = self._journal_digests.get(app_id)
-                    if expected is not None and expected != digest:
-                        self._emit_anomaly(
-                            "restore_mismatch",
-                            detail=f"{app_id}: journal {expected[:12]} != restored {digest[:12]}",
-                        )
+        self._restore_into(regulator, app_id)
         writer.write(
             encode_frame(
                 {"op": "welcome", "proto": PROTOCOL_VERSION, "server": __version__}
@@ -528,7 +517,7 @@ class RegulatorDaemon:
             del self._sessions[session.name]
         if session.registered:
             # Persist what the departed worker learned before dropping it.
-            self._journal_session(session)
+            self._save_session(session)
             with contextlib.suppress(Exception):
                 self._supervisor.unregister_thread(session.name)
             session.registered = False
@@ -748,63 +737,32 @@ class RegulatorDaemon:
                 self._emit_recovery("worker_evicted", detail=session.name)
                 self._cleanup_session(session, expected=True)
 
-    def _journal_sweep(self) -> None:
-        """Journal every session whose calibration changed."""
+    def _save_changed(self) -> None:
+        """Save every registered session's state that changed since its save."""
         for session in list(self._sessions.values()):
-            self._journal_session(session)
+            self._save_session(session)
 
-    def _journal_session(self, session: _Session) -> None:
-        if self._journal is None or not session.registered:
+    def _save_session(self, session: _Session) -> None:
+        if self._store is None or not session.registered:
             return
         try:
             state = self._supervisor.regulator(session.name).export_state()
         except Exception:
             return
         digest = state_digest(state)
-        if self._journal_digests.get(session.app_id) == digest:
+        if self._saved_digests.get(session.app_id) == digest:
             return
+        self._tick_telemetry()
         try:
-            self._journal.append(session.app_id, state)
+            self._store.save(session.app_id, state)
         except PersistenceError as exc:
-            # Journal failure degrades durability, never regulation.
-            self._emit_anomaly("save_failure", detail=str(exc))
+            # A failed save degrades durability, never regulation; the digest
+            # stays stale, so the next sweep tries again.  The store has
+            # already reported the failure as a save_failure anomaly.
+            self._emit_recovery("save_skipped", detail=f"{session.app_id}: {exc}")
             return
-        self._journal_digests[session.app_id] = digest
-        self._restored_states[session.app_id] = state
-        self.counters["journal_appends"] += 1
-
-    def _persist_all(self, final: bool = False) -> None:
-        """Snapshot every known application state; compact on full success."""
-        if self._store is None:
-            return
-        states: dict[str, Mapping[str, Any]] = dict(self._restored_states)
-        for session in self._sessions.values():
-            if not session.registered:
-                continue
-            try:
-                states[session.app_id] = self._supervisor.regulator(
-                    session.name
-                ).export_state()
-            except Exception:
-                continue
-        all_saved = True
-        for app_id, state in states.items():
-            try:
-                self._store.save(app_id, state)
-                self.counters["snapshots"] += 1
-                self._journal_digests[app_id] = state_digest(state)
-                self._restored_states[app_id] = state
-            except PersistenceError as exc:
-                all_saved = False
-                self._emit_anomaly("save_failure", detail=f"{app_id}: {exc}")
-                self._emit_recovery("save_skipped", detail=app_id)
-        if all_saved and self._journal is not None:
-            with contextlib.suppress(PersistenceError):
-                self._journal.compact()
-        if final and self._journal is not None and not all_saved:
-            # Keep the journal: it still holds the states the snapshot
-            # tier failed to take.
-            pass
+        self._saved_digests[session.app_id] = digest
+        self.counters["snapshots"] += 1
 
     async def _chaos_loop(self) -> None:
         """Arm each planned fault at its scheduled offset."""
@@ -941,11 +899,11 @@ class RegulatorDaemon:
                 "op": "ok",
                 "seq": seq,
                 "restored": dict(self.restored_digests),
-                "journal": dict(self._journal_digests),
+                "saved": dict(self._saved_digests),
                 "current": current,
             }
         if op == "save":
-            self._persist_all()
+            self._save_changed()
             return {"op": "ok", "seq": seq, "snapshots": self.counters["snapshots"]}
         if op == "inject":
             kind = frame.get("kind")
@@ -964,6 +922,17 @@ class RegulatorDaemon:
         return {"op": "error", "seq": seq, "reason": f"unknown control op {op!r}"}
 
     # -- telemetry helpers -----------------------------------------------------
+    def _tick_telemetry(self) -> None:
+        """Bring the telemetry clock to now before the store reports.
+
+        The store stamps its events with the last tick, which a regulator
+        sets only at a testpoint: at startup that is 0.0, and an idle
+        worker's last testpoint can be long past.
+        """
+        tel = self._telemetry
+        if tel is not None:
+            tel.tick(self._now())
+
     def _emit_fault(self, kind: str, target: str, param: float = 0.0) -> None:
         self.counters["faults_injected"] += 1
         tel = self._telemetry

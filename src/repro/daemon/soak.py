@@ -16,11 +16,11 @@ Two harness shapes:
   workers are still real subprocesses), so the trace is captured in
   memory and audited directly, with a flight recorder dumping the event
   ring around every injection for post-mortem;
-* **daemon-crash** runs the daemon as a subprocess, waits for the
-  write-ahead journal to hold calibration state, SIGKILLs the daemon
-  mid-run, reads the journal's digests *after* the kill (exactly what
-  survived), restarts the daemon, and requires the restored digests it
-  reports over control IPC to be bit-identical.
+* **daemon-crash** runs the daemon as a subprocess, waits for it to have
+  saved calibration state, SIGKILLs the daemon mid-run, reads the digests
+  of the saved target files *after* the kill (exactly what survived),
+  restarts the daemon, and requires the restored digests it reports over
+  control IPC to be bit-identical.
 
 Determinism note: fault *schedules* are seeded and reproducible; the
 wall-clock interleaving of a live daemon is not.  What the soak asserts
@@ -45,10 +45,10 @@ from typing import Any, Callable, Sequence
 
 from repro.core.config import MannersConfig
 from repro.core.errors import FaultError
+from repro.core.persistence import TargetStore
 from repro.daemon.chaos import RECOVERY_ACTIONS, SCENARIO_KINDS, ipc_plan
 from repro.daemon.client import ControlClient
-from repro.daemon.journal import StateJournal
-from repro.daemon.server import RegulatorDaemon, WorkerSpec
+from repro.daemon.server import RegulatorDaemon, WorkerSpec, state_digest
 from repro.obs.events import Event, FaultInjected, RecoveryAction
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.sinks import MemorySink
@@ -246,9 +246,7 @@ async def _run_in_process(
         chaos_plan=plan,
         heartbeat_interval=0.25,
         heartbeat_timeout=2.5,
-        save_interval=max(duration, 30.0),
-        journal_interval=0.25,
-        fsync_journal=False,
+        save_interval=0.25,
         restart_backoff=0.25,
         restart_backoff_cap=2.0,
     )
@@ -305,10 +303,8 @@ def _serve_command(socket_path: Path, state_dir: Path) -> list[str]:
         "--workers",
         ",".join(f"{kind}:{name}" for kind, name in _FLEET),
         "--fast",
-        "--journal-interval",
-        "0.2",
         "--save-interval",
-        "3600",
+        "0.2",
     ]
 
 
@@ -365,30 +361,29 @@ def _run_daemon_crash(
             result.note = "daemon never opened its socket"
             return result
 
-        def journaled(control: ControlClient) -> bool:
+        store = TargetStore(state_dir)
+        app_ids = [name for _, name in _FLEET]
+
+        def saved(control: ControlClient) -> bool:
             status = control.request("status")
             counters = status.get("counters", {})
             return (
-                counters.get("journal_appends", 0) >= len(_FLEET)
+                counters.get("snapshots", 0) >= len(_FLEET)
                 and counters.get("testpoints", 0) >= 8
+                and all(store.path_for(app_id).exists() for app_id in app_ids)
             )
 
-        if not _poll_control(socket_path, setup_timeout, journaled):
-            result.note = "daemon never journaled calibration state"
+        if not _poll_control(socket_path, setup_timeout, saved):
+            result.note = "daemon never saved calibration state"
             return result
         # The injection: an unceremonious kill, no drain, no flush.
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=10.0)
         result.injected = 1
-        # Read the journal only now — its content *after* the kill is
-        # exactly the durable state the restart must reproduce.
-        expected = {
-            app_id: record.digest
-            for app_id, record in StateJournal(state_dir).latest_states().items()
-        }
-        if not expected:
-            result.note = "journal held no valid records after the kill"
-            return result
+        # Read the target files only now (strictly: a damaged one fails the
+        # run) — their content *after* the kill is exactly the durable
+        # state the restart must reproduce.
+        expected = {app_id: state_digest(store.load(app_id)) for app_id in app_ids}
         restarted = subprocess.Popen(command)
         if not _await_socket(socket_path, setup_timeout):
             result.note = "restarted daemon never opened its socket"

@@ -308,7 +308,8 @@ class AnomalyDetected(Event):
     ``anomaly`` values: ``"clock_backward"`` (timestamp regressed),
     ``"zero_elapsed"`` (testpoint with no elapsed time),
     ``"rate_spike"`` (measured rate implausibly above target),
-    ``"corrupt_target"`` (persisted target file unreadable),
+    ``"corrupt_target"`` (persisted target file unreadable, or its state
+    rejected on import),
     ``"save_failure"`` (target save attempt failed),
     ``"watchdog_stall"`` (regulated thread stopped testpointing),
     ``"sink_failure"`` (a telemetry sink raised),
@@ -321,9 +322,8 @@ class AnomalyDetected(Event):
     ``"worker_lost"`` (registered worker's connection dropped),
     ``"worker_exit"`` (supervised worker subprocess died),
     ``"worker_spawn_failed"`` (worker subprocess could not start),
-    ``"journal_torn"`` (write-ahead journal ended in a damaged record),
     ``"restore_mismatch"`` (restored state digest differed from the
-    journaled digest).
+    digest of the stored state it was imported from).
     """
 
     kind: ClassVar[str] = "anomaly"
@@ -341,10 +341,11 @@ class RecoveryAction(Event):
     excluded from calibration and judgment), ``"quarantine"`` (corrupt
     target file set aside as ``*.corrupt``), ``"rebootstrap"`` (regulation
     restarted from fresh calibration), ``"save_retry"`` (persistence retried
-    after a write failure), ``"save_skipped"`` (snapshot dropped after
-    retries were exhausted), ``"watchdog_release"`` (stalled thread evicted
-    so siblings run), ``"slot_released"`` (crashed thread's execution slot
-    reclaimed), ``"sink_disabled"`` (failing telemetry sink isolated).
+    after a write failure), ``"save_skipped"`` (save dropped after its
+    attempts failed; the daemon's next sweep tries again),
+    ``"watchdog_release"`` (stalled thread evicted so siblings run),
+    ``"slot_released"`` (crashed thread's execution slot reclaimed),
+    ``"sink_disabled"`` (failing telemetry sink isolated).
     The daemon (:mod:`repro.daemon.server`) adds: ``"retransmit_absorbed"``
     (dropped request recovered by the client's retransmit),
     ``"resend_served"`` (retransmitted request answered from the decision
@@ -355,10 +356,9 @@ class RecoveryAction(Event):
     ``"worker_evicted"`` (unresponsive worker disconnected, slot freed),
     ``"worker_restarted"`` (dead worker subprocess respawned),
     ``"reconnect_rebound"`` (reconnecting worker displaced its old
-    session), ``"state_restored"`` (calibration restored from
-    journal/snapshot at startup), ``"journal_truncated"`` (torn journal
-    tail quarantined, valid prefix kept), ``"drain_flush"`` (graceful
-    shutdown persisted all targets).
+    session), ``"state_restored"`` (calibration restored from the
+    application's target file), ``"drain_flush"`` (graceful shutdown
+    saved every changed target).
     """
 
     kind: ClassVar[str] = "recovery"

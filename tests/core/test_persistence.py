@@ -47,6 +47,16 @@ class TestConstruction:
         with pytest.raises(PersistenceError, match="save_backoff"):
             TargetStore(tmp_path, save_backoff=backoff)
 
+    def test_backoff_too_long_to_sleep_fails_as_persistence_error(self, tmp_path):
+        # 1e300 is finite, so it is accepted, but time.sleep raises
+        # OverflowError for it (without sleeping), which escaped every
+        # caller's handler for PersistenceError.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        store = TargetStore(blocker / "targets", save_backoff=1e300)
+        with pytest.raises(PersistenceError, match="backoff out of range"):
+            store.save("app", {"x": 1})
+
     @pytest.mark.parametrize("retries", [1.5, "2", True, -1])
     def test_save_retries_must_be_an_int_at_least_zero(self, tmp_path, retries):
         # 1.5 and "2" raised TypeError, and only at the first failed save.
@@ -90,6 +100,14 @@ class TestCorruption:
         store = TargetStore(tmp_path, strict=False)
         store.path_for("app").write_text("{not json")
         assert store.load("app") is None
+
+    def test_quarantine_by_app_id_sets_the_file_aside(self, tmp_path):
+        store = TargetStore(tmp_path)
+        store.save("app", {"x": 1})
+        store.quarantine("app", "unusable state")
+        assert store.load("app") is None
+        assert store.quarantine_path_for("app").exists()
+        assert store.quarantined == [store.quarantine_path_for("app")]
 
     def test_wrong_version_rejected(self, tmp_path):
         store = TargetStore(tmp_path)

@@ -18,14 +18,26 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import ConfigError
+from repro.core.persistence import TargetStore
 from repro.daemon.client import ControlClient, DaemonClient
-from repro.daemon.journal import StateJournal, state_digest
 from repro.daemon.protocol import PROTOCOL_VERSION, decode_frame, encode_frame
-from repro.daemon.server import RegulatorDaemon
+from repro.daemon.server import RegulatorDaemon, state_digest
 from repro.daemon.soak import match_faults, soak_config
 from repro.obs.events import AnomalyDetected, FaultInjected, RecoveryAction
 from repro.obs.sinks import MemorySink
 from repro.obs.telemetry import Telemetry
+
+
+STATE_A = {"sets": {"0": {"arity": 1, "calibration": {"rate": 100.0}}}}
+STATE_B = {"sets": {"0": {"arity": 1, "calibration": {"rate": 250.0}}}}
+
+
+class TestDigest:
+    def test_key_order_invariant(self):
+        assert state_digest({"a": 1, "b": [1, 2]}) == state_digest({"b": [1, 2], "a": 1})
+
+    def test_distinct_states_distinct_digests(self):
+        assert state_digest(STATE_A) != state_digest(STATE_B)
 
 
 @pytest.fixture
@@ -230,27 +242,13 @@ class TestChaosAbsorption:
 class TestPersistence:
     def test_drain_snapshots_and_restart_restores_bit_identically(self, rundir):
         state_dir = rundir / "state"
-        first = LiveDaemon(
-            rundir,
-            state_dir=str(state_dir),
-            journal_interval=0.05,
-            save_interval=3600.0,
-            fsync_journal=False,
-        )
+        first = LiveDaemon(rundir, state_dir=str(state_dir), save_interval=3600.0)
         with first as live:
             with DaemonClient(live.socket_path, "w1", app_id="app") as client:
                 for done in range(1, 9):
                     client.testpoint([float(done) * 3])
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline:
-                    with ControlClient(live.socket_path) as control:
-                        if control.request("status")["counters"]["journal_appends"]:
-                            break
-                    time.sleep(0.05)
-        # The drain compacted the journal into an atomic snapshot.
-        from repro.core.persistence import TargetStore
-
-        snapshot = TargetStore(state_dir, strict=False).load("app")
+        # No sweep ran within the hour: the departure or the drain saved it.
+        snapshot = TargetStore(state_dir).load("app")
         assert snapshot is not None
         second = LiveDaemon(rundir, state_dir=str(state_dir))
         with second as live:
@@ -264,8 +262,8 @@ class TestPersistence:
         assert "state_restored" in actions
 
     def test_rejected_snapshot_rebootstraps_on_a_fresh_regulator(self, rundir):
-        # A journaled two-metric set whose ridge statistics hold a NaN:
-        # import_state rejects it after it has already added the set.
+        # A stored two-metric set whose ridge statistics hold a NaN:
+        # import_state rejects it and changes nothing.
         state_dir = rundir / "state"
         rejected = {
             "sets": {
@@ -275,16 +273,15 @@ class TestPersistence:
                 }
             }
         }
-        with StateJournal(state_dir) as journal:
-            journal.append("app", rejected)
-        daemon = LiveDaemon(
-            rundir, state_dir=str(state_dir), journal_interval=3600.0, save_interval=3600.0
-        )
+        store = TargetStore(state_dir)
+        store.save("app", rejected)
+        daemon = LiveDaemon(rundir, state_dir=str(state_dir), save_interval=3600.0)
+        started = time.monotonic()
         with daemon as live:
             with DaemonClient(live.socket_path, "w1", app_id="app") as first:
                 # One metric per testpoint: a half-imported regulator expects two.
                 replies = [first.testpoint([float(done)]) for done in range(1, 4)]
-                # The rejected state was dropped, so a second worker of the
+                # The rejected file was set aside, so a second worker of the
                 # same application starts fresh without a second rejection.
                 with DaemonClient(live.socket_path, "w2", app_id="app") as second:
                     replies.append(second.testpoint([1.0]))
@@ -300,37 +297,55 @@ class TestPersistence:
         assert actions.count("rebootstrap") == 1
         assert "reconnect_rebound" not in actions
         assert "state_restored" not in actions
+        assert store.quarantine_path_for("app").exists()
+        # The store's reports carry the daemon's clock, not a stale 0.0.
+        stamps = [
+            e.t for e in events
+            if getattr(e, "anomaly", None) == "corrupt_target"
+            or getattr(e, "action", None) == "quarantine"
+        ]
+        assert len(stamps) == 2 and all(started <= t <= time.monotonic() for t in stamps)
 
-    def test_journal_tier_outranks_snapshot_on_restore(self, rundir):
+    def test_saved_digest_is_read_from_the_stored_file(self, rundir):
         state_dir = rundir / "state"
-        journaled = {"schema": 1, "sets": {}}
-        with StateJournal(state_dir) as journal:
-            record = journal.append("app", journaled)
-        daemon = LiveDaemon(rundir, state_dir=str(state_dir))
+        stored = {"schema": 1, "sets": {}}
+        TargetStore(state_dir).save("app", stored)
+        daemon = LiveDaemon(rundir, state_dir=str(state_dir), save_interval=3600.0)
         with daemon as live:
             with DaemonClient(live.socket_path, "w1", app_id="app") as client:
                 client.ping()
                 with ControlClient(live.socket_path) as control:
                     digests = control.request("digest")
-        assert digests["journal"]["app"] == record.digest
+        assert digests["saved"]["app"] == state_digest(stored)
+
+
+def _reply_when(live: LiveDaemon, op: str, ready, timeout: float = 5.0) -> dict:
+    """Poll a control ``op`` until ``ready(reply)``; return the reply."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with ControlClient(live.socket_path) as control:
+            reply = control.request(op)
+        if ready(reply) or time.monotonic() > deadline:
+            return reply
+        time.sleep(0.005)
 
 
 def _counters_when(live: LiveDaemon, ready, timeout: float = 5.0) -> dict:
     """Poll the daemon's status until ``ready(counters)``; return the counters."""
-    deadline = time.monotonic() + timeout
-    while True:
-        with ControlClient(live.socket_path) as control:
-            counters = control.request("status")["counters"]
-        if ready(counters) or time.monotonic() > deadline:
-            return counters
-        time.sleep(0.05)
+    return _reply_when(live, "status", lambda reply: ready(reply["counters"]), timeout)["counters"]
+
+
+def _saved_is_current(reply: dict) -> bool:
+    return "app" in reply["current"] and reply["saved"].get("app") == reply["current"]["app"]
 
 
 class TestPeriodicCadences:
-    """The journal sweep and the snapshot each run on their own interval."""
+    """Every ``save_interval`` the daemon saves the states that changed."""
+
+    INTERVAL = 0.05
 
     @pytest.mark.parametrize(
-        "name", ["heartbeat_interval", "heartbeat_timeout", "journal_interval", "save_interval"]
+        "name", ["heartbeat_interval", "heartbeat_timeout", "save_interval"]
     )
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_interval_must_be_finite_and_positive(self, rundir, name, value):
@@ -339,30 +354,75 @@ class TestPeriodicCadences:
         with pytest.raises(ConfigError, match=name):
             RegulatorDaemon(str(rundir / "d.sock"), **{name: value})
 
-    def test_journal_sweeps_without_waiting_for_a_snapshot(self, rundir):
-        with LiveDaemon(
-            rundir, state_dir=str(rundir / "state"), journal_interval=0.05,
-            save_interval=3600.0, fsync_journal=False,
-        ) as live:
-            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
-                client.testpoint([1.0])
-                counters = _counters_when(live, lambda c: c["journal_appends"] >= 1)
-        assert counters["journal_appends"] >= 1
-        assert counters["snapshots"] == 0
+    def _live(self, rundir: Path, state_dir: Path) -> LiveDaemon:
+        return LiveDaemon(rundir, state_dir=str(state_dir), save_interval=self.INTERVAL)
 
-    def test_snapshots_without_waiting_for_a_journal_sweep(self, rundir):
-        # save_interval < journal_interval: a loop that snapshots only after
-        # a journal sweep takes no snapshot within the hour.
-        started = time.monotonic()
-        with LiveDaemon(
-            rundir, state_dir=str(rundir / "state"), journal_interval=3600.0,
-            save_interval=0.1, fsync_journal=False,
-        ) as live:
+    def test_saved_catches_up_with_current_within_two_intervals(self, rundir):
+        # What a kill -9 can lose: the state since the last save.
+        with self._live(rundir, rundir / "state") as live:
             with DaemonClient(live.socket_path, "w1", app_id="app") as client:
-                client.testpoint([1.0])
-                counters = _counters_when(live, lambda c: c["snapshots"] >= 3)
+                for done in range(1, 9):
+                    client.testpoint([float(done)])
+                last = time.monotonic()
+                reply = _reply_when(live, "digest", _saved_is_current)
+                caught_up = time.monotonic() - last
+        assert _saved_is_current(reply)
+        assert caught_up <= 2 * self.INTERVAL
+        stored = TargetStore(rundir / "state").load("app")
+        assert state_digest(stored) == reply["saved"]["app"]
+
+    def test_an_idle_state_is_not_saved_again(self, rundir):
+        with self._live(rundir, rundir / "state") as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
+                for done in range(1, 9):
+                    client.testpoint([float(done)])
+                _reply_when(live, "digest", _saved_is_current)
+                before = _counters_when(live, lambda c: True)["snapshots"]
+                time.sleep(10 * self.INTERVAL)
+                after = _counters_when(live, lambda c: True)["snapshots"]
+        assert before >= 1
+        assert after == before
+
+    def test_at_most_one_save_per_interval_while_testpoints_flow(self, rundir):
+        started = time.monotonic()
+        with self._live(rundir, rundir / "state") as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
+                done = 0
+                while time.monotonic() - started < 20 * self.INTERVAL:
+                    done += 1
+                    client.testpoint([float(done)])
+                counters = _counters_when(live, lambda c: True)
                 elapsed = time.monotonic() - started
         assert counters["snapshots"] >= 3
-        # One application, so one save per snapshot, and none before its time.
-        assert counters["snapshots"] <= elapsed / 0.1 + 1
-        assert counters["journal_appends"] == 0
+        # One application, so one save per sweep at most; the first sweep
+        # runs one interval after the daemon started, never before.
+        assert counters["snapshots"] <= elapsed / self.INTERVAL
+
+    def test_failing_saves_never_block_a_testpoint(self, rundir):
+        blocker = rundir / "blocker"
+        blocker.write_text("")
+        # mkdir under a regular file fails (ENOTDIR), even as root.
+        with self._live(rundir, blocker / "state") as live:
+            with DaemonClient(live.socket_path, "w1", app_id="app") as client:
+                replies = [client.testpoint([float(done)]) for done in range(1, 9)]
+                time.sleep(10 * self.INTERVAL)
+                counters = _counters_when(live, lambda c: True)
+        events = live.events()  # after the drain: no save is half reported
+        assert all(r["op"] == "decision" and "error" not in r for r in replies), replies
+        assert counters["testpoints"] == len(replies)
+        assert counters["snapshots"] == 0
+        anomalies = [e.anomaly for e in events if isinstance(e, AnomalyDetected)]
+        actions = [e.action for e in events if isinstance(e, RecoveryAction)]
+        # The unsaved state is tried again on every sweep, idle or not, with
+        # one attempt each: one save_failure, then save_skipped.
+        assert actions.count("save_skipped") >= 3
+        assert anomalies.count("save_failure") == actions.count("save_skipped")
+        assert "save_retry" not in actions
+        # Each failure carries its own sweep's time, not the time of the
+        # previous sweep's report.
+        reports = [
+            e for e in events
+            if getattr(e, "anomaly", None) == "save_failure"
+            or getattr(e, "action", None) == "save_skipped"
+        ]
+        assert all(skipped.t < failure.t for skipped, failure in zip(reports[1::2], reports[2::2]))

@@ -55,3 +55,11 @@ class TestShortSoak:
         # artifact uploads.
         saved = json.loads((workdir / "soak-report.json").read_text())
         assert saved == report.to_dict()
+
+    def test_daemon_crash_restores_bit_identically(self, workdir):
+        report = run_soak(["daemon-crash"], seeds=[1], duration=3.0, workdir=workdir)
+        run = report.runs[0]
+        assert run.ok, run.unmatched or run.note
+        # Digests read from the saved target files after the kill -9.
+        assert run.restore["g1"]["match"] is True
+        assert run.restore["c1"]["match"] is True

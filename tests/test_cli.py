@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -35,11 +37,32 @@ class TestInfo:
             main(["frobnicate"])
 
 
-class TestFigures:
-    def test_writes_all_tsvs(self, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    """One traced ``figures`` run: (exit code, output directory, stdout).
+
+    Regenerating fig7-10 takes seconds, so the tests that only read the
+    outputs share this run.
+    """
+    out_dir = tmp_path_factory.mktemp("figures")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         code = main(
-            ["figures", "--out", str(tmp_path), "--scale", "0.15", "--hours", "2"]
+            [
+                "figures",
+                "--out", str(out_dir),
+                "--scale", "0.15",
+                "--hours", "2",
+                "--trace-out", str(out_dir / "trace.jsonl"),
+                "--metrics-out", str(out_dir / "metrics.json"),
+            ]
         )
+    return code, out_dir, stdout.getvalue()
+
+
+class TestFigures:
+    def test_writes_all_tsvs(self, figures_run):
+        code, out_dir, _ = figures_run
         assert code == 0
         for name in (
             "fig7_duty.tsv",
@@ -47,7 +70,7 @@ class TestFigures:
             "fig9_isolation.tsv",
             "fig10_calibration.tsv",
         ):
-            path = tmp_path / name
+            path = out_dir / name
             assert path.exists(), name
             lines = path.read_text().splitlines()
             assert len(lines) >= 2  # header + data
@@ -216,24 +239,14 @@ class TestQuiet:
 
 
 class TestTraceOut:
-    def test_figures_writes_trace_and_metrics(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        metrics = tmp_path / "metrics.json"
-        code = main(
-            [
-                "figures",
-                "--out", str(tmp_path),
-                "--scale", "0.15",
-                "--hours", "2",
-                "--trace-out", str(trace),
-                "--metrics-out", str(metrics),
-            ]
-        )
+    def test_figures_writes_trace_and_metrics(self, figures_run):
+        code, out_dir, out = figures_run
+        trace = out_dir / "trace.jsonl"
+        metrics = out_dir / "metrics.json"
         assert code == 0
         assert trace.exists() and trace.stat().st_size > 0
         snapshot = json.loads(metrics.read_text())
         assert snapshot["counters"]["testpoints"] > 0
-        out = capsys.readouterr().out
         assert "event trace ->" in out
         assert "metrics snapshot ->" in out
 
@@ -376,7 +389,6 @@ class TestNumericArguments:
             "daemon serve --socket d.sock --duration 0.5 --heartbeat-interval 0",
             "daemon serve --socket d.sock --duration 0.5 --heartbeat-interval nan",
             "daemon serve --socket d.sock --duration 0.5 --heartbeat-timeout nan",
-            "daemon serve --socket d.sock --duration 0.5 --journal-interval -1",
             "daemon serve --socket d.sock --duration 0.5 --save-interval 0",
             "daemon serve --socket d.sock --duration 0.5 --save-interval inf",
             "daemon serve --socket d.sock --duration nan",
